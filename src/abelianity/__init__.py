@@ -46,8 +46,10 @@ from .elliptic import (
     PoleError,
     admissible_half_nome_roots,
     calF,
+    centrality_plan,
     centrality_ratio,
     exchange_factor,
+    exchange_plan,
     theta,
     ufunc,
     ufunc_a,

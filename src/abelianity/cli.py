@@ -213,7 +213,7 @@ def _cmd_verify_y(args) -> int:
         verdict = lattice.classify_lambda(s, lam, args.N)
         excluded = _zero_lambda(lam)
     worst, used = _grid_max_deviation(
-        ctx, lambda x: elliptic.yfunc(ctx, s, lam, x), args.grid)
+        ctx, elliptic.exchange_plan(ctx, s, lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
     if oracle_abelian or collapses:
         numeric_ok = worst < SOUND_TOL
@@ -242,8 +242,7 @@ def _cmd_verify_super(args) -> int:
     oracle_empty = mset.is_empty()
     ctx = EllipticContext(N=args.N, q=args.q)
     worst, used = _grid_max_deviation(
-        ctx, lambda x: elliptic.centrality_ratio(ctx, abs(args.m), args.lam, x),
-        args.grid)
+        ctx, elliptic.centrality_plan(ctx, abs(args.m), args.lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
     if oracle_empty or collapses:
         numeric_ok = worst < SOUND_TOL
@@ -305,6 +304,7 @@ def _cmd_scan(args) -> int:
                 for n in range(-box, box + 1)
                 if (m, n) != (0, 0)]
     lines = []
+    disagree = 0
     for i, s1 in enumerate(surfaces):
         for s2 in surfaces[i + 1:]:
             line = lattice.intersect_surfaces(s1, s2)
@@ -315,7 +315,9 @@ def _cmd_scan(args) -> int:
             lam2 = _side_lambda(s2, s1)
             o1 = oracle.is_abelian(oracle.exchange_exponents(s1, lam1))
             o2 = oracle.is_abelian(oracle.exchange_exponents(s2, lam2))
-            lines.append(((s1.m, s1.n, s2.m, s2.n), {
+            agree = v1.is_abelian == o1 and v2.is_abelian == o2
+            disagree += not agree
+            lines.append(emit({
                 "s1": [s1.m, s1.n], "s2": [s2.m, s2.n],
                 "e_p": _frac_str(line.e_p),
                 "e_pstar": _frac_str(line.e_pstar),
@@ -323,11 +325,13 @@ def _cmd_scan(args) -> int:
                 "lambda_s1": None if lam1 is None else _frac_str(lam1.lam),
                 "lambda_s2": None if lam2 is None else _frac_str(lam2.lam),
                 "tag_s1": v1.tag.value, "tag_s2": v2.tag.value,
-                "oracle_agree": (v1.is_abelian == o1 and v2.is_abelian == o2),
+                "oracle_agree": agree,
             }))
-    lines.sort(key=lambda kv: kv[0])
-    text = "\n".join(emit(doc) for _, doc in lines)
-    _write_output(text, args.out)
+    _write_output("\n".join(lines), args.out)
+    if disagree:
+        print(f"scan: {len(lines)} intersecting pairs, {disagree} with "
+              f"oracle_agree false", file=sys.stderr)
+        return 1
     return 0
 
 

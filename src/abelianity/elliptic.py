@@ -1,14 +1,38 @@
 """Floating-point evaluation of the theta-based structure functions.
 
-Everything is built from the short Jacobi theta function
+The short Jacobi theta function
     theta_a(z) = (z; a)_inf (a/z; a)_inf,   0 < a < 1,
-via the block
+defines the block
     U_a(z) = q^{2/N-2} theta_a(q^2 z^2) theta_a(q^2 z^-2)
              / (theta_a(z^2) theta_a(z^-2)),
-which is symmetric under z -> 1/z, depends on z^2 only, and (for the nome
-a = q^{2N}) is q^N-periodic in z.  These identities are exercised by the
-test suite; production evaluation relies on them only through the explicit
-argument reductions implemented here.
+which is symmetric under z -> 1/z, depends on z^2 only, and (for the
+structure nome a = q^{2N}) is q^N-periodic in z.
+
+U is not evaluated from that product.  With L = ln(1/q) and T = ln(1/a),
+the Jacobi imaginary transformation (DLMF 20.7) cancels every Gaussian
+factor and constant of the four thetas and leaves a ratio in the dual nome
+rho = exp(-4 pi^2 / T):
+
+    U_a(z) = q^{2/N} e^{4L^2/T}
+             theta_rho(omega Y) theta_rho(omega^-1 Y) / theta_rho(Y)^2,
+
+with omega = exp(4 pi i L / T) and the dual coordinate
+Y = exp(2 pi i ln(z^2) / T).  For the structure nome T = 2NL, omega is
+e^{2 pi i / N} and the constant is exactly 1.
+
+* U is invariant under Y -> rho Y (another branch of ln z^2) and under
+  Y -> 1/Y, so Y is taken in sqrt(rho) <= |Y| <= 1.  ln|z| only turns the
+  phase of Y and arg(z^2) only sets its modulus, so every z in float range
+  is reduced exactly.
+* The shift z -> q^{N t} z is the rotation Y -> e^{-2 pi i t} Y.  An
+  exchange product over exponents t is a `ShiftPlan`: the distinct t mod 1
+  become rotations once, and each point costs one reduction plus one theta
+  ratio per distinct t.  The full-cycle identity prod_j U(q^j x) = 1 is the
+  telescoping product over Y -> omega^-1 Y.
+* Poles sit at Y in rho^Z and zeros at omega^{+-1} Y in rho^Z, i.e. Y near
+  1, omega^-1 or omega in the reduced annulus.  A pole at
+  z^2 = a^k (1 + delta) sits at |Y - 1| ~ 2 pi |delta| / T.
+* rho is tiny exactly where a is close to 1, so the products are short.
 """
 
 from __future__ import annotations
@@ -18,8 +42,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import DegenerateParametrizationError, LambdaPair, Surface
-from .oracle import _exchange_lists, _mod1
+from .lattice import LambdaPair, Surface
+from .oracle import _exchange_lists
 
 
 class DomainError(ValueError):
@@ -34,9 +58,11 @@ class PoleError(ArithmeticError):
 class EllipticContext:
     """Numeric evaluation environment.
 
-    eps_trunc bounds the dropped tail of every q-Pochhammer product; tol is
-    the tolerance used both for identity checks and for declaring a point
-    pole-adjacent.
+    eps_trunc bounds the dropped tail of every theta product: `theta` stops
+    its q-Pochhammer products once the tail factors are within eps_trunc of
+    1, and U keeps the dual-nome factors whose distance from 1 can reach
+    eps_trunc.  tol is the tolerance used both for identity checks and for
+    declaring a point pole-adjacent.
     """
 
     N: int
@@ -57,23 +83,30 @@ class EllipticContext:
         return self.q ** (2 * self.N)
 
 
+def _finite(v: complex) -> bool:
+    return math.isfinite(v.real) and math.isfinite(v.imag)
+
+
 def theta(a: float, z: complex, *, eps: float = 1e-16) -> complex:
     """Short Jacobi theta theta_a(z) = (z;a)_inf (a/z;a)_inf.
 
     The argument is first reduced into the annulus a <= |z| < 1 with the
     exact quasi-periodicity theta_a(a^k z) = (-1)^k a^{-k(k-1)/2} z^{-k}
     theta_a(z), then the products are truncated once the tail factors are
-    within eps of 1.
+    within eps of 1.  Raises DomainError when the value leaves float range.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"nome must lie in (0,1), got {a}")
     z = complex(z)
-    if z == 0:
-        raise DomainError("theta argument must be nonzero")
+    if z == 0 or not _finite(z):
+        raise DomainError("theta argument must be finite and nonzero")
     lna = math.log(a)
-    k = math.ceil(math.log(abs(z)) / lna) - 1
-    zr = z * a ** (-k)
-    prefactor = (-1) ** (k & 1) * a ** (-(k * (k - 1)) // 2) * zr ** (-k)
+    try:
+        k = math.ceil(math.log(abs(z)) / lna) - 1
+        zr = z * a ** (-k)
+        prefactor = (-1) ** (k & 1) * a ** (-(k * (k - 1)) // 2) * zr ** (-k)
+    except OverflowError as exc:
+        raise DomainError(f"theta_{a}({z}) lies outside float range") from exc
 
     n_max = max(1, math.ceil(math.log(eps) / lna))
     prod = 1.0 + 0.0j
@@ -81,16 +114,109 @@ def theta(a: float, z: complex, *, eps: float = 1e-16) -> complex:
     for _ in range(n_max + 1):
         prod *= (1.0 - zr * an) * (1.0 - a * an / zr)
         an *= a
-    return prefactor * prod
+    val = prefactor * prod
+    if not _finite(val):
+        raise DomainError(f"theta_{a}({z}) lies outside float range")
+    return val
 
 
-def _near_lattice(a: float, w: complex, tol: float) -> bool:
-    """True when w is within tolerance of the zero lattice {a^k : k in Z}."""
-    r = abs(w)
-    if r == 0.0:
-        return True
-    k = round(math.log(r) / math.log(a))
-    return abs(w * a ** (-k) - 1.0) < 10.0 * tol
+class _DualNome:
+    """Constants of U_a in the dual nome for one (q, N, a).
+
+    `a=None` is the structure nome q^{2N}: T = 2NL exactly, omega is the
+    N-th root of unity and the constant is 1.  `powers` holds rho^j for the
+    factor pairs (1 - rho^j y)(1 - rho^j / y), j = 1..n-1, that follow the
+    leading (1 - y) of theta_rho(y); n is the least with
+    rho^{n-1/2} < eps_trunc, and no pair is needed when rho underflows.
+    """
+
+    __slots__ = ("scale", "omega", "omega_inv", "powers", "pole_tol", "log_const")
+
+    def __init__(self, ctx: EllipticContext, a: float | None = None) -> None:
+        if a is not None and not 0.0 < a < 1.0:
+            raise DomainError(f"nome must lie in (0,1), got {a}")
+        L = -math.log(ctx.q)
+        if a is None:
+            T = 2 * ctx.N * L
+            self.omega = cmath.exp(2j * math.pi / ctx.N)
+            self.log_const = 0.0
+        else:
+            T = -math.log(a)
+            self.omega = cmath.exp(4j * math.pi * L / T)
+            self.log_const = 4.0 * L * L / T - 2.0 * L / ctx.N
+        self.omega_inv = self.omega.conjugate()
+        self.scale = 2.0 * math.pi / T  # Y = exp(i * scale * ln z^2)
+        log_rho = -2.0 * math.pi * self.scale
+        rho = math.exp(log_rho)
+        n = math.floor(math.log(ctx.eps_trunc) / log_rho + 0.5) + 1 if rho > 0.0 else 1
+        self.powers = [rho ** j for j in range(1, n)]
+        self.pole_tol = 10.0 * ctx.tol * self.scale
+
+    def angles(self, z: complex) -> tuple[float, float]:
+        """(arg z^2, angle of Y): the modulus of Y is exp(-scale arg z^2)."""
+        z = complex(z)
+        try:
+            r = abs(z)
+        except OverflowError:
+            r = math.inf
+        if r == 0.0 or not math.isfinite(r):
+            raise DomainError(f"U argument must be finite and nonzero, got {z}")
+        u = z / r
+        # the phase of (z/|z|)^2 is bitwise the same for z and -z
+        return cmath.phase(u * u), 2.0 * self.scale * math.log(r)
+
+    def reduce(self, phi: float, psi: float) -> tuple[complex, bool]:
+        """Y = exp(-scale phi + i psi) brought to |Y| <= 1 by Y -> 1/Y, for
+        -pi <= phi <= pi; the flag tells whether it was inverted."""
+        inverted = phi < 0.0
+        if inverted:
+            phi, psi = -phi, -psi
+        mod = math.exp(-self.scale * phi)
+        return complex(mod * math.cos(psi), mod * math.sin(psi)), inverted
+
+    def adjacent(self, y: complex) -> bool:
+        """True when reduced y is within tolerance of a zero or pole of U."""
+        tol = self.pole_tol
+        return (abs(y - 1.0) < tol or abs(y - self.omega) < tol
+                or abs(y - self.omega_inv) < tol)
+
+    def ratio(self, y: complex) -> complex:
+        """theta_rho(omega y) theta_rho(y / omega) / theta_rho(y)^2 for
+        sqrt(rho) <= |y| <= 1; pairs are grouped so that the value at
+        conj(y) is the conjugate of the value at y."""
+        wy = self.omega * y
+        vy = self.omega_inv * y
+        num = (1.0 - wy) * (1.0 - vy)
+        den = 1.0 - y
+        if self.powers:
+            iy = 1.0 / y
+            iwy = self.omega_inv * iy
+            ivy = self.omega * iy
+            for p in self.powers:
+                num *= (1.0 - p * wy) * (1.0 - p * vy) * ((1.0 - p * iwy) * (1.0 - p * ivy))
+                den *= (1.0 - p * y) * (1.0 - p * iy)
+        return num / (den * den)
+
+    def scaled(self, v: complex) -> complex:
+        """Multiply by the constant q^{2/N} e^{4L^2/T} in log form."""
+        if not self.log_const:
+            return v
+        if abs(self.log_const) < 700.0:
+            out = math.exp(self.log_const) * v
+            if _finite(out):
+                return out
+        if v == 0:
+            return v
+        try:
+            return cmath.exp(self.log_const + cmath.log(v))
+        except OverflowError as exc:
+            raise DomainError("U_a value lies outside float range") from exc
+
+
+def _on_real_line(z: complex) -> bool:
+    """z^2 is real, so U(z) is real."""
+    z = complex(z)
+    return z.real == 0.0 or z.imag == 0.0
 
 
 def u_zero_pole_adjacent(ctx: EllipticContext, a: float, z: complex) -> bool:
@@ -98,34 +224,93 @@ def u_zero_pole_adjacent(ctx: EllipticContext, a: float, z: complex) -> bool:
 
     Poles: z^2 or z^-2 on the lattice a^Z; zeros: q^2 z^{+-2} on it.
     """
-    w = z * z
-    q2 = ctx.q * ctx.q
-    return (_near_lattice(a, w, ctx.tol) or _near_lattice(a, 1.0 / w, ctx.tol)
-            or _near_lattice(a, q2 * w, ctx.tol)
-            or _near_lattice(a, q2 / w, ctx.tol))
+    dual = _DualNome(ctx, a)
+    y, _ = dual.reduce(*dual.angles(z))
+    return dual.adjacent(y)
+
+
+def _ufunc(dual: _DualNome, z: complex) -> complex:
+    y, _ = dual.reduce(*dual.angles(z))
+    if abs(y - 1.0) < dual.pole_tol:
+        raise PoleError(f"U_a pole within tolerance at z={z}")
+    val = dual.ratio(y)
+    if _on_real_line(z):
+        val = complex(val.real, 0.0)
+    return dual.scaled(val)
 
 
 def ufunc_a(ctx: EllipticContext, a: float, z: complex) -> complex:
-    """U_a(z) with an arbitrary nome a in (0,1)."""
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"nome must lie in (0,1), got {a}")
-    z = complex(z)
-    if z == 0:
-        raise DomainError("U argument must be nonzero")
-    w = z * z
-    wi = 1.0 / w
-    if _near_lattice(a, w, ctx.tol) or _near_lattice(a, wi, ctx.tol):
-        raise PoleError(f"U_a pole within tolerance at z={z}")
-    q2 = ctx.q * ctx.q
-    eps = ctx.eps_trunc
-    num = theta(a, q2 * w, eps=eps) * theta(a, q2 * wi, eps=eps)
-    den = theta(a, w, eps=eps) * theta(a, wi, eps=eps)
-    return ctx.q ** (2.0 / ctx.N - 2.0) * num / den
+    """U_a(z) with an arbitrary nome a in (0,1).
+
+    Raises PoleError within tolerance of a pole and DomainError when the
+    value lies outside float range.
+    """
+    return _ufunc(_DualNome(ctx, a), z)
 
 
 def ufunc(ctx: EllipticContext, z: complex) -> complex:
     """The structure-function block U(z), nome q^{2N}."""
-    return ufunc_a(ctx, ctx.nome, z)
+    return _ufunc(_DualNome(ctx), z)
+
+
+class ShiftPlan:
+    """Exchange product prod_num U(q^{N t} x) / prod_den U(q^{N t} x).
+
+    Built once per command: the distinct exponents t mod 1 become rotations
+    e^{-2 pi i t} of the dual coordinate, so evaluating a point does no
+    rational arithmetic.  Every distinct exponent is tested for an adjacent
+    zero or pole, cancelling ones included, and factors are applied in list
+    order.
+
+    `phase` c makes the argument of factor t carry the extra factor
+    e^{pi i c t} (a multiplier e^{2 pi i c t} on z^2): the non-principal
+    roots of a whole-surface half-nome.  It moves the modulus of Y, which
+    is then reduced again by Y -> rho Y.
+    """
+
+    def __init__(self, ctx: EllipticContext, numerator, denominator,
+                 *, phase: int = 0) -> None:
+        self._dual = _DualNome(ctx)
+        slots: dict[Fraction, int] = {}
+
+        def slot(t: Fraction) -> int:
+            return slots.setdefault(t % 1, len(slots))
+
+        self._num = [slot(t) for t in numerator]
+        self._den = [slot(t) for t in denominator]
+        self._rot = [cmath.exp(-2j * math.pi * float(t)) for t in slots]
+        self._rot_inv = [r.conjugate() for r in self._rot]
+        self._shifts = None
+        if phase:
+            self._shifts = [(2.0 * math.pi * float(phase * t % 1), -2.0 * math.pi * t)
+                            for t in slots]
+
+    def __call__(self, x: complex) -> complex:
+        dual = self._dual
+        phi, psi = dual.angles(x)
+        if self._shifts is None:
+            y0, inverted = dual.reduce(phi, psi)
+            ys = [y0 * r for r in (self._rot_inv if inverted else self._rot)]
+        else:
+            ys = []
+            for dphi, dpsi in self._shifts:
+                p = phi + dphi
+                if p > math.pi:
+                    p -= 2.0 * math.pi
+                ys.append(dual.reduce(p, psi + dpsi)[0])
+        real = self._shifts is None and _on_real_line(x)
+        vals = []
+        for y in ys:
+            if dual.adjacent(y):
+                raise PoleError(f"exchange factor argument near zero/pole at x={x}")
+            v = dual.ratio(y)
+            vals.append(complex(v.real, 0.0) if real else v)
+        val = 1.0 + 0.0j
+        for i in self._num:
+            val *= vals[i]
+        for i in self._den:
+            val /= vals[i]
+        return val
 
 
 def calF(ctx: EllipticContext, s_exponent: Fraction, a: int, x: complex) -> complex:
@@ -148,25 +333,6 @@ def calF(ctx: EllipticContext, s_exponent: Fraction, a: int, x: complex) -> comp
     return val
 
 
-def _u_shift(ctx: EllipticContext, t: Fraction, x: complex,
-             memo: dict[Fraction, complex]) -> complex:
-    """U(q^{N t} x) with t reduced mod 1 first (q^N-periodicity), memoized.
-
-    Fails loudly when the shifted argument sits near a zero or a pole of U,
-    since factors appear inverted in the exchange products.
-    """
-    t = _mod1(t)
-    got = memo.get(t)
-    if got is not None:
-        return got
-    arg = ctx.q ** (ctx.N * float(t)) * x
-    if u_zero_pole_adjacent(ctx, ctx.nome, arg):
-        raise PoleError(f"exchange factor argument near zero/pole at x={x}, t={t}")
-    val = ufunc(ctx, arg)
-    memo[t] = val
-    return val
-
-
 def admissible_half_nome_roots(ctx: EllipticContext, n: int) -> list[complex]:
     """The |n| complex solutions of s^n = q^{-N} (free half-nome on S_{0,n})."""
     if n == 0:
@@ -176,54 +342,35 @@ def admissible_half_nome_roots(ctx: EllipticContext, n: int) -> list[complex]:
     return [base * cmath.exp(2j * cmath.pi * j / k) for j in range(k)]
 
 
-def _yfunc_whole_surface(ctx: EllipticContext, s: Surface, x: complex,
-                         half_nome: complex | None) -> complex:
-    """Direct evaluation of the exchange function on S_{0,n} / S_{m,0}.
+def exchange_plan(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,
+                  *, half_nome: complex | None = None) -> ShiftPlan:
+    """The exchange function of S_{m,n} at line coordinate lam, as a plan.
 
-    Only the constrained half-nome enters (the other nome is free on the
-    surface and drops out); any complex root of s*^n = q^{-N} may be
-    supplied explicitly.
+    On m=0 or n=0 surfaces lam is ignored: the factors are U(s^l x) over
+    l = 0..|n|-1 divided by U(s^-l x) over l = 1..|n| for the constrained
+    half-nome s, which solves s^n = q^{-N} (n := m on S_{m,0}).  The real
+    root is the ordinary shift t = -l/n; any other root may be supplied.
     """
+    num, den = _exchange_lists(s, lam)
+    if not s.is_whole_surface_abelian() or half_nome is None:
+        return ShiftPlan(ctx, num, den)
     n = s.n if s.m == 0 else s.m
-    if half_nome is None:
-        half_nome = complex(ctx.q ** (-ctx.N / n))
-    elif abs(half_nome ** n - ctx.q ** (-ctx.N)) > 1e-9:
+    if abs(half_nome ** n - ctx.q ** (-ctx.N)) > 1e-9:
         raise DomainError(f"half-nome {half_nome} does not satisfy s^{n} = q^-N")
-    num = 1.0 + 0.0j
-    den = 1.0 + 0.0j
-    for ell in range(abs(n)):
-        arg = half_nome ** ell * x
-        if u_zero_pole_adjacent(ctx, ctx.nome, arg):
-            raise PoleError(f"exchange factor argument near zero/pole at x={x}")
-        num *= ufunc(ctx, arg)
-    for ell in range(1, abs(n) + 1):
-        arg = half_nome ** (-ell) * x
-        if u_zero_pole_adjacent(ctx, ctx.nome, arg):
-            raise PoleError(f"exchange factor argument near zero/pole at x={x}")
-        den *= ufunc(ctx, arg)
-    return num / den
+    k = abs(n)
+    j = round(cmath.phase(half_nome) * k / (2 * math.pi)) % k
+    # s^l = q^{N t} e^{2 pi i j l/|n|} with t = -l/n: z^2 turns by -2 j sgn(n) t
+    return ShiftPlan(ctx, num, den, phase=-2 * j * (1 if n > 0 else -1))
 
 
 def yfunc(ctx: EllipticContext, s: Surface, lam: LambdaPair | None, x: complex,
           *, half_nome: complex | None = None) -> complex:
     """Exchange function of S_{m,n} at line coordinate lam, evaluated at x.
 
-    Every U argument is reduced by the mod-1 exponent reduction before
-    evaluation.  For m=0 or n=0 surfaces lam is ignored and the direct
-    product form is used (optionally at an explicit complex half-nome root).
+    For m=0 or n=0 surfaces lam is ignored (optionally at an explicit
+    complex half-nome root); see `exchange_plan`.
     """
-    if s.is_whole_surface_abelian():
-        return _yfunc_whole_surface(ctx, s, x, half_nome)
-    if lam is None:
-        raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
-    num, den = _exchange_lists(s, lam)
-    memo: dict[Fraction, complex] = {}
-    val = 1.0 + 0.0j
-    for t in num:
-        val *= _u_shift(ctx, t, x, memo)
-    for t in den:
-        val /= _u_shift(ctx, t, x, memo)
-    return val
+    return exchange_plan(ctx, s, lam, half_nome=half_nome)(x)
 
 
 def _half_index_range(k: int) -> list[Fraction]:
@@ -246,22 +393,23 @@ def exchange_factor(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,
     return val
 
 
-def centrality_ratio(ctx: EllipticContext, m: int, lam: int, x: complex) -> complex:
-    """Generator/Lax exchange ratio on S_{m,-m} for integer lambda:
+def centrality_plan(ctx: EllipticContext, m: int, lam: int) -> ShiftPlan:
+    """The generator/Lax exchange ratio on S_{m,-m} as a plan:
 
         prod_{k=1}^{m} U(s*^{-k} x) / U(s^{-k} x)
 
-    with s = q^{-N lambda/m}, s* = q^{-N(lambda-1)/m}.  Identically 1 on
-    super-abelianity lines.
+    with s = q^{-N lambda/m}, s* = q^{-N(lambda-1)/m}.
     """
     if m <= 0:
         raise DomainError("m must be positive (reduce m<0 to |m| first)")
-    memo: dict[Fraction, complex] = {}
-    val = 1.0 + 0.0j
-    for k in range(1, m + 1):
-        val *= _u_shift(ctx, Fraction((lam - 1) * k, m), x, memo)
-        val /= _u_shift(ctx, Fraction(lam * k, m), x, memo)
-    return val
+    return ShiftPlan(ctx, [Fraction((lam - 1) * k, m) for k in range(1, m + 1)],
+                     [Fraction(lam * k, m) for k in range(1, m + 1)])
+
+
+def centrality_ratio(ctx: EllipticContext, m: int, lam: int, x: complex) -> complex:
+    """Generator/Lax exchange ratio on S_{m,-m} for integer lambda (see
+    `centrality_plan`).  Identically 1 on super-abelianity lines."""
+    return centrality_plan(ctx, m, lam)(x)
 
 
 def verification_grid(r_inner: float = 0.8, r_outer: float = 1.25,

@@ -199,6 +199,23 @@ class TestScan:
         assert keys == sorted(keys)
         assert all(d["oracle_agree"] for d in docs)
 
+    def test_disagreement_is_exit_1_with_summary(self, capsys, monkeypatch):
+        from abelianity import oracle
+        monkeypatch.setattr(oracle, "is_abelian", lambda mset: False)
+        rc = main(["scan", "--box", "2"])
+        captured = capsys.readouterr()
+        docs = [json.loads(line) for line in captured.out.strip().split("\n")]
+        bad = sum(not d["oracle_agree"] for d in docs)
+        assert rc == 1
+        assert bad > 0
+        assert captured.err.strip() == (f"scan: {len(docs)} intersecting pairs, "
+                                        f"{bad} with oracle_agree false")
+
+    def test_agreement_is_silent(self, capsys):
+        rc = main(["scan", "--box", "2"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestOutFile:
     def test_bytes_identical(self, capsys, tmp_path):

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelianity import (
     DomainError,
@@ -22,12 +24,14 @@ from abelianity import (
     calF,
     centrality_ratio,
     exchange_factor,
+    exchange_plan,
     theta,
     ufunc,
     ufunc_a,
     verification_grid,
     yfunc,
 )
+from abelianity.elliptic import u_zero_pole_adjacent
 
 CTX = EllipticContext(N=3, q=0.6)
 
@@ -40,6 +44,15 @@ def theta_unreduced(a, z, n_max=600):
         prod *= (1 - z * an) * (1 - a * an / z)
         an *= a
     return prod
+
+
+def u_reference(ctx, a, z):
+    """U_a from its four-theta product definition (test oracle only)."""
+    w = z * z
+    q2 = ctx.q * ctx.q
+    num = theta(a, q2 * w) * theta(a, q2 / w)
+    den = theta(a, w) * theta(a, 1 / w)
+    return ctx.q ** (2.0 / ctx.N - 2.0) * num / den
 
 
 class TestTheta:
@@ -93,6 +106,11 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(0.3, 0)
 
+    @pytest.mark.parametrize("z", [1e300, 1e-300, 1e200 + 1e200j, float("inf")])
+    def test_out_of_range_is_domain_error(self, z):
+        with pytest.raises(DomainError):
+            theta(0.3, z)
+
 
 class TestU:
     def test_inversion_symmetry(self):
@@ -138,6 +156,92 @@ class TestU:
                     assert abs(prod - 1.0) < 1e-12
 
 
+class TestUDualNome:
+    """The dual-nome kernel against the four-theta product and U's symmetries."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 6])
+    @pytest.mark.parametrize("q", [0.1, 0.35, 0.6, 0.8, 0.9])
+    def test_matches_four_theta_product(self, N, q):
+        ctx = EllipticContext(N=N, q=q)
+        worst = 0.0
+        for a in (None, 0.02, 0.3, 0.7):
+            for r in (0.31, 0.77, 1.0, 1.9, 4.3):
+                for phi in (0.0, 0.4, 1.3, math.pi / 2, 2.2, 3.0, -0.9, math.pi):
+                    z = r * cmath.exp(1j * phi)
+                    nome = ctx.nome if a is None else a
+                    if u_zero_pole_adjacent(ctx, nome, z):
+                        continue
+                    got = ufunc(ctx, z) if a is None else ufunc_a(ctx, a, z)
+                    ref = u_reference(ctx, nome, z)
+                    worst = max(worst, abs(got - ref) / abs(ref))
+        assert worst <= 1e-12
+
+    def test_conjugation(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            z = rng.uniform(0.2, 5.0) * cmath.exp(1j * rng.uniform(-3.1, 3.1))
+            for a in (CTX.nome, 0.3):
+                u = ufunc_a(CTX, a, z)
+                assert abs(ufunc_a(CTX, a, z.conjugate()) - u.conjugate()) \
+                    <= 1e-15 * abs(u)
+
+    def test_even_general_nome(self):
+        z = 0.7 - 1.9j
+        assert ufunc_a(CTX, 0.3, -z) == ufunc_a(CTX, 0.3, z)
+
+    @pytest.mark.parametrize("z", [1.3, -0.45, 2.2j, -0.9j, 1e40, 3e-17j])
+    def test_exactly_real_on_real_z_squared(self, z):
+        assert ufunc(CTX, z).imag == 0.0
+        assert ufunc_a(CTX, 0.3, z).imag == 0.0
+
+    def test_huge_and_tiny_arguments_reduce_exactly(self):
+        ctx = EllipticContext(3, 0.6)
+        big = ufunc(ctx, 1e25)
+        assert math.isfinite(big.real)
+        assert abs(big - ufunc(ctx, 1e25 * 0.6 ** 3)) <= 1e-12 * abs(big)
+        assert abs(ufunc(ctx, 1e-25) - big) <= 1e-12 * abs(big)
+        val = ufunc(ctx, 1e200 + 1e200j)
+        assert math.isfinite(val.real) and math.isfinite(val.imag)
+
+    def test_general_nome_with_huge_constant(self):
+        # q^{2/N} e^{4L^2/T} is about 1e250 here; the product route overflowed
+        val = ufunc_a(EllipticContext(2, 0.3), 0.99, -1.9775 - 1.3032j)
+        assert math.isfinite(val.real) and math.isfinite(val.imag)
+        with pytest.raises(DomainError):
+            ufunc_a(EllipticContext(2, 0.05), 0.9999, 1.3 + 0.2j)
+
+    def test_argument_domain(self):
+        for z in (0, float("inf"), complex(float("nan"), 1.0)):
+            with pytest.raises(DomainError):
+                ufunc(CTX, z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log10_r=st.floats(-300, 300), phi=st.one_of(
+               st.floats(-math.pi, math.pi),
+               st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2])),
+           q=st.floats(0.05, 0.999), N=st.integers(2, 6),
+           a=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True,
+                                            exclude_max=True)))
+    def test_finite_or_declared_error(self, log10_r, phi, q, N, a):
+        ctx = EllipticContext(N=N, q=q)
+        z = 10.0 ** log10_r * cmath.exp(1j * phi)
+        try:
+            val = ufunc(ctx, z) if a is None else ufunc_a(ctx, a, z)
+        except (PoleError, DomainError):
+            return
+        assert math.isfinite(val.real) and math.isfinite(val.imag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log10_r=st.floats(-300, 300), phi=st.floats(-math.pi, math.pi),
+           a=st.floats(0.01, 0.95))
+    def test_theta_finite_or_domain_error(self, log10_r, phi, a):
+        try:
+            val = theta(a, 10.0 ** log10_r * cmath.exp(1j * phi))
+        except DomainError:
+            return
+        assert math.isfinite(val.real) and math.isfinite(val.imag)
+
+
 class TestCalF:
     def test_empty_product(self):
         assert calF(CTX, F(1, 3), 0, 1.4) == 1.0
@@ -166,6 +270,39 @@ class TestY:
         assert abs(y - 1.0) < 1e-10
         y = yfunc(CTX, Surface(4, 0), None, 0.9)
         assert abs(y - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("s", [Surface(0, 3), Surface(0, -4), Surface(5, 0)])
+    def test_whole_surface_plan_matches_direct_product(self, s):
+        """The shift plan against the defining product over s^l x, at every
+        root s of s^n = q^-N (non-principal roots move |Y|)."""
+        n = s.n if s.m == 0 else s.m
+        x = 0.9 + 0.35j
+        for root in admissible_half_nome_roots(CTX, n):
+            direct = 1.0 + 0.0j
+            for ell in range(abs(n)):
+                direct *= u_reference(CTX, CTX.nome, root ** ell * x)
+            for ell in range(1, abs(n) + 1):
+                direct /= u_reference(CTX, CTX.nome, root ** (-ell) * x)
+            if s.n == 0:
+                direct = 1 / direct  # the exponent lists of S_{m,0} are inverted
+            got = exchange_plan(CTX, s, None, half_nome=root)(x)
+            assert abs(got - direct) <= 1e-12 * abs(direct)
+
+    def test_plan_matches_direct_product(self):
+        s = Surface(2, 5)
+        lam = LambdaPair.from_lambda(F(-2, 3))
+        plan = exchange_plan(CTX, s, lam)
+        q, N, m, n = CTX.q, CTX.N, s.m, s.n
+        lm, ln = lam.lam / m, lam.lam_star / n
+        num = [ell * lm for ell in range(1, m + 1)] + [-ell * ln for ell in range(1, n)]
+        den = [-ell * lm for ell in range(1, m)] + [ell * ln for ell in range(1, n + 1)]
+        for x in (1.37, 0.8 + 0.3j, -1.1 - 0.6j):
+            direct = 1.0 + 0.0j
+            for t in num:
+                direct *= u_reference(CTX, CTX.nome, q ** (N * float(t)) * x)
+            for t in den:
+                direct /= u_reference(CTX, CTX.nome, q ** (N * float(t)) * x)
+            assert abs(plan(x) - direct) <= 1e-11 * abs(direct)
 
     def test_bad_half_nome_rejected(self):
         with pytest.raises(DomainError):
