@@ -26,6 +26,7 @@ from .lattice import (
     classify_lambda,
     cross_cancellation_realizations,
     intersect_surfaces,
+    intersection_sides,
     lambda_of_intersection,
     realize_line_as_intersections,
     solve_condition2,

@@ -3,13 +3,17 @@
 Machine-readable output: JSON documents (one object, or one object per line
 for `scan`) and CSV for `poisson`.  Rationals are always serialized exactly
 as "a/b" strings, never as floats.  Exit codes: 0 success, 1 verification
-mismatch (exact verdict and numeric witness disagree), 2 invalid input.
+mismatch (exact verdict and numeric witness disagree, or no grid point
+could be evaluated), 2 invalid input.  A reader that closes stdout early
+(`scan ... | head`) ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -30,7 +34,10 @@ def _frac_str(v: Fraction) -> str:
 
 
 def _parse_frac(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_surface(text: str) -> Surface:
@@ -44,8 +51,10 @@ def _parse_grid(text: str) -> list[complex]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'r1,r2,count', got {text!r}")
-    return elliptic.verification_grid(float(parts[0]), float(parts[1]),
-                                      int(parts[2]))
+    count = int(parts[2])
+    if count < 1:
+        raise ValueError(f"grid count must be at least 1, got {count}")
+    return elliptic.verification_grid(float(parts[0]), float(parts[1]), count)
 
 
 def _surface_dict(s: Surface) -> dict:
@@ -99,12 +108,6 @@ def _write_output(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _side_lambda(sa: Surface, sb: Surface) -> LambdaPair | None:
-    if sa.m == 0 or sa.n == 0:
-        return None
-    return lattice.lambda_of_intersection(sa, sb)
-
-
 def _cmd_intersect(args) -> int:
     s1, s2 = args.s1, args.s2
     line = lattice.intersect_surfaces(s1, s2)
@@ -113,9 +116,9 @@ def _cmd_intersect(args) -> int:
               "lambda_s1": None, "lambda_s2": None,
               "verdict_s1": None, "verdict_s2": None}
     if line is not None:
-        v1, v2 = lattice.classify_intersection(s1, s2, args.N)
-        report["lambda_s1"] = _lambda_dict(_side_lambda(s1, s2))
-        report["lambda_s2"] = _lambda_dict(_side_lambda(s2, s1))
+        (lam1, v1), (lam2, v2) = lattice.intersection_sides(s1, s2, args.N)
+        report["lambda_s1"] = _lambda_dict(lam1)
+        report["lambda_s2"] = _lambda_dict(lam2)
         report["verdict_s1"] = _verdict_dict(v1)
         report["verdict_s2"] = _verdict_dict(v2)
     _write_output(emit(report), args.out)
@@ -197,6 +200,18 @@ def _grid_max_deviation(ctx: EllipticContext, evaluate, grid) -> tuple[float, in
     return worst, used
 
 
+def _numeric_ok(worst: float, used: int, identity: bool,
+                complete: bool = True) -> bool:
+    """Numeric witness check: an identity must stay below SOUND_TOL, and a
+    non-identity must exceed COMPLETE_TOL somewhere when completeness is
+    claimed.  A grid on which no point could be evaluated checks nothing."""
+    if used == 0:
+        return False
+    if identity:
+        return worst < SOUND_TOL
+    return not complete or worst > COMPLETE_TOL
+
+
 def _cmd_verify_y(args) -> int:
     s = args.surface
     lam = None if args.lam is None else LambdaPair.from_lambda(args.lam)
@@ -206,21 +221,14 @@ def _cmd_verify_y(args) -> int:
     ctx = EllipticContext(N=args.N, q=args.q)
     mset = oracle.exchange_exponents(s, lam)
     oracle_abelian = oracle.is_abelian(mset)
-    if s.is_whole_surface_abelian():
-        verdict = lattice.classify_lambda(s, LambdaPair.from_lambda(0), args.N)
-        excluded = False
-    else:
-        verdict = lattice.classify_lambda(s, lam, args.N)
-        excluded = _zero_lambda(lam)
+    verdict = lattice.classify_lambda(s, lam, args.N)
+    excluded = not s.is_whole_surface_abelian() and _zero_lambda(lam)
     worst, used = _grid_max_deviation(
         ctx, elliptic.exchange_plan(ctx, s, lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
-    if oracle_abelian or collapses:
-        numeric_ok = worst < SOUND_TOL
-    elif args.N == 2:
-        numeric_ok = True  # sufficient-only regime: no completeness claim
-    else:
-        numeric_ok = worst > COMPLETE_TOL
+    # N=2 is the sufficient-only regime: no completeness claim
+    numeric_ok = _numeric_ok(worst, used, oracle_abelian or collapses,
+                             complete=args.N != 2)
     classification_ok = (verdict.is_abelian == oracle_abelian) or \
         (excluded and oracle_abelian)
     report = {"surface": _surface_dict(s), "lambda": _lambda_dict(lam),
@@ -244,10 +252,7 @@ def _cmd_verify_super(args) -> int:
     worst, used = _grid_max_deviation(
         ctx, elliptic.centrality_plan(ctx, abs(args.m), args.lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
-    if oracle_empty or collapses:
-        numeric_ok = worst < SOUND_TOL
-    else:
-        numeric_ok = worst > COMPLETE_TOL
+    numeric_ok = _numeric_ok(worst, used, oracle_empty or collapses)
     consistent = (verdict.super_abelian == oracle_empty) and numeric_ok
     report = {"m": args.m, "lambda": args.lam, "N": args.N, "q": args.q,
               "verdict": {"super_abelian": verdict.super_abelian,
@@ -299,37 +304,49 @@ def _cmd_poisson(args) -> int:
 
 def _cmd_scan(args) -> int:
     box = args.box
+    if box < 0:
+        raise ValueError(f"--box must be >= 0, got {box}")
     surfaces = [Surface(m, n)
                 for m in range(-box, box + 1)
                 for n in range(-box, box + 1)
                 if (m, n) != (0, 0)]
-    lines = []
-    disagree = 0
-    for i, s1 in enumerate(surfaces):
-        for s2 in surfaces[i + 1:]:
-            line = lattice.intersect_surfaces(s1, s2)
-            if line is None:
-                continue
-            v1, v2 = lattice.classify_intersection(s1, s2, args.N)
-            lam1 = _side_lambda(s1, s2)
-            lam2 = _side_lambda(s2, s1)
-            o1 = oracle.is_abelian(oracle.exchange_exponents(s1, lam1))
-            o2 = oracle.is_abelian(oracle.exchange_exponents(s2, lam2))
-            agree = v1.is_abelian == o1 and v2.is_abelian == o2
-            disagree += not agree
-            lines.append(emit({
-                "s1": [s1.m, s1.n], "s2": [s2.m, s2.n],
-                "e_p": _frac_str(line.e_p),
-                "e_pstar": _frac_str(line.e_pstar),
-                "c_over_N": _frac_str(line.c_over_N),
-                "lambda_s1": None if lam1 is None else _frac_str(lam1.lam),
-                "lambda_s2": None if lam2 is None else _frac_str(lam2.lam),
-                "tag_s1": v1.tag.value, "tag_s2": v2.tag.value,
-                "oracle_agree": agree,
-            }))
-    _write_output("\n".join(lines), args.out)
+    pairs = disagree = 0
+    with contextlib.ExitStack() as stack:
+        # one write per outer surface, copied to --out as it goes
+        sinks = [sys.stdout]
+        if args.out:
+            sinks.append(stack.enter_context(open(args.out, "w")))
+        for i, s1 in enumerate(surfaces):
+            row = []
+            for s2 in surfaces[i + 1:]:
+                line = lattice.intersect_surfaces(s1, s2)
+                if line is None:
+                    continue
+                (lam1, v1), (lam2, v2) = lattice.intersection_sides(s1, s2, args.N)
+                o1 = oracle.is_abelian(oracle.exchange_exponents(s1, lam1))
+                o2 = oracle.is_abelian(oracle.exchange_exponents(s2, lam2))
+                agree = v1.is_abelian == o1 and v2.is_abelian == o2
+                disagree += not agree
+                row.append(emit({
+                    "s1": [s1.m, s1.n], "s2": [s2.m, s2.n],
+                    "e_p": _frac_str(line.e_p),
+                    "e_pstar": _frac_str(line.e_pstar),
+                    "c_over_N": _frac_str(line.c_over_N),
+                    "lambda_s1": None if lam1 is None else _frac_str(lam1.lam),
+                    "lambda_s2": None if lam2 is None else _frac_str(lam2.lam),
+                    "tag_s1": v1.tag.value, "tag_s2": v2.tag.value,
+                    "oracle_agree": agree,
+                }))
+            if row:
+                pairs += len(row)
+                text = "\n".join(row) + "\n"
+                for sink in sinks:
+                    sink.write(text)
+        if not pairs:  # an empty sweep is one blank line, like every report
+            for sink in sinks:
+                sink.write("\n")
     if disagree:
-        print(f"scan: {len(lines)} intersecting pairs, {disagree} with "
+        print(f"scan: {pairs} intersecting pairs, {disagree} with "
               f"oracle_agree false", file=sys.stderr)
         return 1
     return 0
@@ -423,6 +440,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): stop quietly, and point
+        # stdout at /dev/null so the interpreter's final flush cannot fail
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # not a file descriptor: nothing to flush
+            return 0
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 0
     except (ValueError, lattice.NoIntersectionError,
             lattice.DegenerateParametrizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,14 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator (den != 0)."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def _bezout_min_second(a: int, b: int) -> tuple[int, int]:
     """Bezout pair (x, y) with x*a + y*b = 1 and 0 <= y < |a|.
 
@@ -97,7 +105,11 @@ class LineParams:
     c_over_N: Fraction
 
     def __post_init__(self) -> None:
-        if self.c_over_N != self.e_p - self.e_pstar:
+        # c/N = e_p - e_pstar, cross-multiplied over the three denominators
+        p, ps, c = self.e_p, self.e_pstar, self.c_over_N
+        if c.numerator * p.denominator * ps.denominator != \
+                (p.numerator * ps.denominator - ps.numerator * p.denominator) \
+                * c.denominator:
             raise ValueError("c/N must equal e_p - e_pstar")
 
     @property
@@ -118,13 +130,22 @@ class LambdaPair:
     lam_star: Fraction
 
     def __post_init__(self) -> None:
-        if self.lam + self.lam_star != 1:
+        lam, lams = self.lam, self.lam_star
+        if lam.numerator * lams.denominator + lams.numerator * lam.denominator \
+                != lam.denominator * lams.denominator:
             raise ValueError("lambda + lambda* must equal 1")
 
     @classmethod
     def from_lambda(cls, lam) -> "LambdaPair":
         lam = Fraction(lam)
         return cls(lam, 1 - lam)
+
+    def over(self, m: int, n: int) -> tuple[int, int, int, int]:
+        """(a, d, b, d') with lambda/m = a/d and lambda*/n = b/d' in lowest
+        terms, d, d' > 0.  Requires m, n != 0."""
+        a, d = _lowest(self.lam.numerator, self.lam.denominator * m)
+        b, dp = _lowest(self.lam_star.numerator, self.lam_star.denominator * n)
+        return a, d, b, dp
 
 
 class Verdict(Enum):
@@ -221,14 +242,21 @@ def _det(s1: Surface, s2: Surface) -> int:
     return s2.m * s1.n - s1.m * s2.n
 
 
+def _meet_det(s1: Surface, s2: Surface) -> int:
+    """m'n - mn' when the two surfaces intersect, else 0."""
+    if s1.m == s2.m or s1.n == s2.n:
+        return 0
+    return _det(s1, s2)
+
+
 def intersect_surfaces(s1: Surface, s2: Surface) -> LineParams | None:
     """Line parameters of S_{m,n} cap S_{m',n'}, or None when empty.
 
     The intersection is non-empty iff m != m', n != n' and m'n - mn' != 0;
     the result is invariant under swapping the two surfaces.
     """
-    det = _det(s1, s2)
-    if s1.m == s2.m or s1.n == s2.n or det == 0:
+    det = _meet_det(s1, s2)
+    if det == 0:
         return None
     e_p = Fraction(s2.n - s1.n, det)
     e_pstar = Fraction(s1.m - s2.m, det)
@@ -245,13 +273,12 @@ def lambda_of_intersection(s1: Surface, s2: Surface) -> LambdaPair:
     if s1.m == 0 or s1.n == 0:
         raise DegenerateParametrizationError(
             f"{s1} has m=0 or n=0; lambda/m is undefined on it")
-    det = _det(s1, s2)
-    if intersect_surfaces(s1, s2) is None:
+    det = _meet_det(s1, s2)
+    if det == 0:
         raise NoIntersectionError(f"{s1} and {s2} do not intersect")
     lam = Fraction(s1.m * (s1.n - s2.n), det)
     lam_star = Fraction(s1.n * (s2.m - s1.m), det)
-    pair = LambdaPair(lam, lam_star)  # checks lam + lam* = 1
-    return pair
+    return LambdaPair(lam, lam_star)  # checks lam + lam* = 1
 
 
 def surfaces_through_line(s1: Surface, s2: Surface,
@@ -294,42 +321,39 @@ def _condition2_d(s: Surface, lam: LambdaPair) -> int | None:
     Requires lambda/m - lambda*/n in Z, equal reduced denominators d, and
     d | (m + n).  Only meaningful for m, n != 0.
     """
-    lam_over_m = lam.lam / s.m
-    lams_over_n = lam.lam_star / s.n
-    if (lam_over_m - lams_over_n).denominator != 1:
-        return None
-    d = lam_over_m.denominator
-    if lams_over_n.denominator != d:
-        return None
-    if (s.m + s.n) % d != 0:
+    a, d, b, dp = lam.over(s.m, s.n)
+    if dp != d or (a - b) % d != 0 or (s.m + s.n) % d != 0:
         return None
     return d
 
 
 def _condition2_witnesses(s: Surface, lam: LambdaPair, d: int) -> Witnesses:
     g = math.gcd(s.m, s.n)
-    a = (lam.lam / s.m).numerator
-    gamma = a % d
+    gamma = lam.over(s.m, s.n)[0] % d
     rhs = 1 - gamma * ((s.m + s.n) // d)
     assert rhs % g == 0, "gamma' must be integral on a condition-2 line"
     gamma_prime = rhs // g
     return Witnesses(d=d, gamma=gamma, gamma_prime=gamma_prime, g=g)
 
 
-def classify_lambda(s: Surface, lam: LambdaPair, N: int = 3) -> AbelianityVerdict:
+def classify_lambda(s: Surface, lam: LambdaPair | None,
+                    N: int = 3) -> AbelianityVerdict:
     """Abelianity verdict for the line with coordinate lam on surface s.
 
     Precedence: whole-surface (m=0 or n=0), extended center (m,n)=+-(1,-1),
     non-vanishing integer lambda, cross-cancellation (condition 2 with
     witness d), else not abelian.  lambda=0 or lambda*=0 is not abelian:
-    those points leave the |p|<1 moduli space (p=1 resp. p*=1).
+    those points leave the |p|<1 moduli space (p=1 resp. p*=1).  lam may be
+    None only on a whole surface, which has no lambda coordinate.
     """
     caveat = (N == 2)
     if s.is_whole_surface_abelian():
         return AbelianityVerdict(Verdict.WHOLE_SURFACE, n_caveat=caveat)
     if s.is_extended_center():
         return AbelianityVerdict(Verdict.EXTENDED_CENTER, n_caveat=caveat)
-    if lam.lam == 0 or lam.lam_star == 0:
+    if lam is None:
+        raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
+    if lam.lam.numerator == 0 or lam.lam_star.numerator == 0:
         return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
     if lam.lam.denominator == 1 and lam.lam_star.denominator == 1:
         return AbelianityVerdict(Verdict.INTEGER_LAMBDA, n_caveat=caveat)
@@ -341,9 +365,12 @@ def classify_lambda(s: Surface, lam: LambdaPair, N: int = 3) -> AbelianityVerdic
     return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
 
 
-def classify_intersection(s1: Surface, s2: Surface,
-                          N: int = 3) -> tuple[AbelianityVerdict, AbelianityVerdict]:
-    """Verdicts for both sides of the intersection line of s1 and s2.
+Side = tuple[LambdaPair | None, AbelianityVerdict]
+
+
+def intersection_sides(s1: Surface, s2: Surface, N: int = 3) -> tuple[Side, Side]:
+    """(lam, verdict) on each side of the intersection line, lam being the
+    side's coordinate (None on a whole surface, m=0 or n=0).
 
     Evaluates the intersection-level conditions
       (a)  m(n-n')/(m'n-mn') in Z          (per side; may hold on one only),
@@ -351,32 +378,33 @@ def classify_intersection(s1: Surface, s2: Surface,
       (c)/(c')  one surface is +-(1,-1),
     and cross-checks them against classify_lambda on each side's coordinate.
     """
-    det = _det(s1, s2)
-    if intersect_surfaces(s1, s2) is None:
+    det = _meet_det(s1, s2)
+    if det == 0:
         raise NoIntersectionError(f"{s1} and {s2} do not intersect")
-
     cond_b = ((s1.m + s1.n - s2.m - s2.n) % det == 0
               and (s1.m + s1.n) != 0 and (s2.m + s2.n) != 0)
+    center = s1.is_extended_center() or s2.is_extended_center()
 
-    def _side(sa: Surface, sb: Surface) -> AbelianityVerdict:
-        if sa.is_whole_surface_abelian():
-            verdict = AbelianityVerdict(Verdict.WHOLE_SURFACE, n_caveat=(N == 2))
-        elif sa.is_extended_center():
-            verdict = AbelianityVerdict(Verdict.EXTENDED_CENTER, n_caveat=(N == 2))
-        else:
-            verdict = classify_lambda(sa, lambda_of_intersection(sa, sb), N)
+    def _side(sa: Surface, sb: Surface, det_ab: int) -> Side:
+        lam = None if sa.is_whole_surface_abelian() else lambda_of_intersection(sa, sb)
+        verdict = classify_lambda(sa, lam, N)
         # condition (a) on this side: integrality of m(n-n')/(m'n-mn')
-        det_ab = _det(sa, sb)
         cond_a = (sa.m * (sa.n - sb.n)) % det_ab == 0
-        thm_abelian = (cond_a or cond_b
-                       or sb.is_extended_center() or sa.is_extended_center())
-        if thm_abelian != verdict.is_abelian:
+        if (cond_a or cond_b or center) != verdict.is_abelian:
             raise CrossCheckError(
                 f"intersection conditions disagree with the line classification "
                 f"on {sa} (pair {sa} cap {sb})")
-        return verdict
+        return lam, verdict
 
-    return _side(s1, s2), _side(s2, s1)
+    return _side(s1, s2, det), _side(s2, s1, -det)
+
+
+def classify_intersection(s1: Surface, s2: Surface,
+                          N: int = 3) -> tuple[AbelianityVerdict, AbelianityVerdict]:
+    """Verdicts for both sides of the intersection line of s1 and s2, with
+    the intersection-level cross-check of `intersection_sides`."""
+    (_, v1), (_, v2) = intersection_sides(s1, s2, N)
+    return v1, v2
 
 
 def solve_condition2(s: Surface) -> list[LambdaFamily]:
@@ -564,8 +592,7 @@ def cross_cancellation_realizations(s: Surface, lam: LambdaPair,
     d = _condition2_d(s, lam)
     if d is None:
         raise ConstructionFailedError("line does not satisfy condition 2")
-    a = (lam.lam / s.m).numerator
-    b = (lam.lam_star / s.n).numerator
+    a, _, b, _ = lam.over(s.m, s.n)
     gab = math.gcd(a, b)
     for u in u_values:
         if u == 0:
@@ -587,8 +614,7 @@ def anchor_realization(s: Surface, lam: LambdaPair) -> tuple[Surface, bool]:
     """
     if s.m == 0 or s.n == 0:
         raise DegenerateParametrizationError(f"{s} has no lambda coordinate")
-    frac = lam.lam / s.m
-    a, d = frac.numerator, frac.denominator
+    a, d, _, _ = lam.over(s.m, s.n)
     for corrected, (mp, np_) in (
         (False, ((a + 1) * s.m + d, (a + 1) * s.n)),
         (True, ((1 - a) * s.m + d, (1 - a) * s.n)),

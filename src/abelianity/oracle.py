@@ -6,10 +6,16 @@ on the squared argument, the ratio is identically 1 exactly when the signed
 multiset of exponents t, reduced mod 1, cancels completely.  This module
 decides that cancellation symbolically, independently of the integer
 classification in `lattice`.
+
+Every exponent is a multiple of a few rationals j/d, so a multiset is kept
+as integer residues k of k/L mod 1 over a common modulus L.  The exchange
+and centrality multisets are counted in closed form, one whole cycle of
+residues at a time; `Fraction` keys are made only when `entries` is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -17,42 +23,80 @@ from typing import Iterable
 from .lattice import DegenerateParametrizationError, LambdaPair, Surface
 
 
-def _mod1(t: Fraction) -> Fraction:
-    return t % 1
-
-
 @dataclass(frozen=True)
 class ExponentMultiset:
     """Signed multiset of U-argument exponents, keys reduced into [0,1).
 
-    Positive multiplicity = numerator factor, negative = denominator.  The
-    represented ratio of U-functions is identically 1 iff the multiset is
-    empty.
+    Stored as (k, multiplicity) pairs for the keys k/modulus, sorted by k,
+    with the smallest modulus that holds every key (so equal multisets
+    compare equal).  Positive multiplicity = numerator factor, negative =
+    denominator.  The represented ratio of U-functions is identically 1 iff
+    the multiset is empty.
     """
 
-    entries: tuple[tuple[Fraction, int], ...]
+    modulus: int
+    residues: tuple[tuple[int, int], ...]
 
     @classmethod
     def build(cls, numerator: Iterable[Fraction],
               denominator: Iterable[Fraction]) -> "ExponentMultiset":
+        """Multiset of explicit numerator and denominator exponent lists."""
         acc: dict[Fraction, int] = {}
-        for t in numerator:
-            key = _mod1(t)
-            acc[key] = acc.get(key, 0) + 1
-        for t in denominator:
-            key = _mod1(t)
-            acc[key] = acc.get(key, 0) - 1
-        items = tuple(sorted((k, v) for k, v in acc.items() if v != 0))
-        return cls(items)
+        for weight, terms in ((1, numerator), (-1, denominator)):
+            for t in terms:
+                key = t % 1
+                acc[key] = acc.get(key, 0) + weight
+        modulus = math.lcm(*[t.denominator for t in acc])
+        return cls._from_counts(
+            {t.numerator * (modulus // t.denominator): c for t, c in acc.items()},
+            modulus)
+
+    @classmethod
+    def _from_counts(cls, counts: dict[int, int], modulus: int) -> "ExponentMultiset":
+        keys = sorted(k for k, c in counts.items() if c)
+        g = math.gcd(modulus, *keys)
+        return cls(modulus // g, tuple((k // g, counts[k]) for k in keys))
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, int], ...]:
+        """(key, multiplicity) pairs with exact keys in [0, 1), sorted."""
+        return tuple((Fraction(k, self.modulus), c) for k, c in self.residues)
 
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self.residues
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.residues)
 
     def as_dict(self) -> dict[Fraction, int]:
         return dict(self.entries)
+
+
+def _cycle_remainder(d: int, count: int) -> tuple[range, range]:
+    """Multipliers j left of {l a/d : l=1..count} over {-l a/d : l=1..count-1}.
+
+    For gcd(a, d) = 1 and count >= 1.  l -> l a mod d runs through every
+    residue once per d consecutive l, so both products strip to their
+    remainders after whole cycles.  With mu = count mod d and
+    mubar = min(mu, d - mu) what is left is
+      numerator:   {a j/d : j=1..mubar},  denominator: {a j/d : j=d-mubar+1..d-1},
+    or, when mu = 0, the one whole cycle more on the numerator side minus
+    the d-1 remainder terms below it: the single residue 0 (j = 0).
+    """
+    mu = count % d
+    if mu == 0:
+        return range(1), range(0)
+    mubar = min(mu, d - mu)
+    return range(1, mubar + 1), range(d - mubar + 1, d)
+
+
+def _tally(counts: dict[int, int], a: int, d: int, num: range, den: range,
+           scale: int) -> None:
+    """Count the keys (a j mod d) * scale: +1 for j in num, -1 for j in den."""
+    for js, weight in ((num, 1), (den, -1)):
+        for j in js:
+            k = a * j % d * scale
+            counts[k] = counts.get(k, 0) + weight
 
 
 def _exchange_lists(s: Surface,
@@ -88,9 +132,37 @@ def _exchange_lists(s: Surface,
 
 
 def exchange_exponents(s: Surface, lam: LambdaPair | None = None) -> ExponentMultiset:
-    """Signed exponent multiset of the exchange function on s at coordinate lam."""
-    num, den = _exchange_lists(s, lam)
-    return ExponentMultiset.build(num, den)
+    """Signed exponent multiset of the exchange function on s at coordinate lam.
+
+    The closed form of `ExponentMultiset.build(*_exchange_lists(s, lam))`:
+    with lambda/m = a/d and lambda*/n = b/d' in lowest terms, the lambda
+    products leave the multipliers `_cycle_remainder(d, |m|)` of a/d, and
+    the lambda* products those of b/d' with numerator and denominator
+    swapped, keyed mod lcm(d, d').  On S_{0,n}, t = l e with e = -1/n, and
+    since |n| e is an integer the lists are that remainder for (e, |n|)
+    over the residue 0; S_{m,0} is the reciprocal of S_{0,m}.  At most
+    (d + d')/2 multipliers are counted, whatever |m| and |n|.
+    """
+    m, n = s.m, s.n
+    counts: dict[int, int] = {}
+    if m == 0 or n == 0:
+        k = m or n
+        modulus = abs(k)
+        num, den = _cycle_remainder(modulus, modulus)
+        zero = -1
+        if n == 0:
+            num, den, zero = den, num, 1
+        _tally(counts, -1 if k > 0 else 1, modulus, num, den, 1)
+        counts[0] = counts.get(0, 0) + zero
+        return ExponentMultiset._from_counts(counts, modulus)
+    if lam is None:
+        raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
+    a, d, b, dp = lam.over(m, n)
+    modulus = math.lcm(d, dp)
+    _tally(counts, a, d, *_cycle_remainder(d, abs(m)), modulus // d)
+    den, num = _cycle_remainder(dp, abs(n))
+    _tally(counts, b, dp, num, den, modulus // dp)
+    return ExponentMultiset._from_counts(counts, modulus)
 
 
 def is_abelian(mset: ExponentMultiset) -> bool:
@@ -105,27 +177,23 @@ def reduced_form(s: Surface,
     With lambda/m = a/d, lambda*/n = b/d' in lowest terms, |m| = d s + mu,
     |n| = d' s' + mu' and mubar = min(mu, d - mu):
       numerator:   {a j/d : j=1..mubar}  u  {b j'/d' : j'=d'-mubar'+1..d'-1}
-      denominator: {a j/d : j=d-mubar+1..d-1}  u  {b j'/d' : j'=1..mubar'}.
-    Degenerates to empty lists for integer lambda.  Exponents are reduced
-    mod 1; after cross-cancellation the lists reproduce exchange_exponents.
+      denominator: {a j/d : j=d-mubar+1..d-1}  u  {b j'/d' : j'=1..mubar'}
+    (`_cycle_remainder` on each product pair).  Degenerates to empty lists
+    for integer lambda, where the residue-0 terms of the two pairs cancel.
+    Exponents are reduced mod 1; after cross-cancellation the lists
+    reproduce exchange_exponents.
     """
     if s.m == 0 or s.n == 0:
         raise DegenerateParametrizationError(f"{s} has no lambda coordinate")
     if lam.lam.denominator == 1:
         return [], []  # integer-lambda shortcut: everything cancels in step 1
-    lm = lam.lam / s.m
-    ln = lam.lam_star / s.n
-    a, d = lm.numerator, lm.denominator
-    b, dp = ln.numerator, ln.denominator
-    mu = abs(s.m) % d
-    mup = abs(s.n) % dp
-    mubar = min(mu, d - mu)
-    mubarp = min(mup, dp - mup)
-    num = [_mod1(Fraction(a * j, d)) for j in range(1, mubar + 1)]
-    num += [_mod1(Fraction(b * j, dp)) for j in range(dp - mubarp + 1, dp)]
-    den = [_mod1(Fraction(a * j, d)) for j in range(d - mubar + 1, d)]
-    den += [_mod1(Fraction(b * j, dp)) for j in range(1, mubarp + 1)]
-    return num, den
+    a, d, b, dp = lam.over(s.m, s.n)
+    num_m, den_m = _cycle_remainder(d, abs(s.m))
+    den_n, num_n = _cycle_remainder(dp, abs(s.n))
+    return ([Fraction(a * j % d, d) for j in num_m]
+            + [Fraction(b * j % dp, dp) for j in num_n],
+            [Fraction(a * j % d, d) for j in den_m]
+            + [Fraction(b * j % dp, dp) for j in den_n])
 
 
 def cycle_collapses(mset: ExponentMultiset, N: int) -> bool:
@@ -140,11 +208,12 @@ def cycle_collapses(mset: ExponentMultiset, N: int) -> bool:
     cancellation framework of `is_abelian`, which matches whole U factors;
     a False here does not certify the absence of further identities.
     """
-    d = mset.as_dict()
-    step = Fraction(1, N)
-    for t, c in d.items():
+    modulus = math.lcm(mset.modulus, N)
+    scale, step = modulus // mset.modulus, modulus // N
+    d = {k * scale: c for k, c in mset.residues}
+    for k, c in d.items():
         for j in range(1, N):
-            if d.get(_mod1(t + j * step), 0) != c:
+            if d.get((k + j * step) % modulus, 0) != c:
                 return False
     return True
 
@@ -154,9 +223,16 @@ def centrality_exponents(m: int, lam: int) -> ExponentMultiset:
 
     numerator t = (lambda-1) k/m, denominator t = lambda k/m for k=1..m.
     Empty iff the line is super-abelian (localized extended center).
+    With c/m = a/d in lowest terms, d divides m, so {c k/m : k=1..m} is
+    m/d whole cycles of the residues j/d; keyed mod lcm of the two d.
     """
     if m <= 0:
         raise ValueError("m must be positive (reduce m<0 to |m| first)")
-    num = [Fraction((lam - 1) * k, m) for k in range(1, m + 1)]
-    den = [Fraction(lam * k, m) for k in range(1, m + 1)]
-    return ExponentMultiset.build(num, den)
+    d_num = m // math.gcd(lam - 1, m)
+    d_den = m // math.gcd(lam, m)
+    modulus = math.lcm(d_num, d_den)
+    counts: dict[int, int] = {}
+    for d, weight in ((d_num, m // d_num), (d_den, -(m // d_den))):
+        for k in range(0, modulus, modulus // d):
+            counts[k] = counts.get(k, 0) + weight
+    return ExponentMultiset._from_counts(counts, modulus)

@@ -1,12 +1,23 @@
 """CLI surface tests: exact JSON/CSV output, determinism, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import abelianity
 from abelianity import Surface, intersect_surfaces
 from abelianity.cli import main
+from abelianity.elliptic import PoleError
+
+# sha256 of the `scan --box=6` output, recorded before the exact layer moved
+# from Fraction to integer residues; the sweep must stay byte-identical
+SCAN_BOX6_SHA256 = "641505d737a2072758bcb86026da36794f78c8d64d69dbded21471c7f316580c"
 
 
 def run(capsys, *argv):
@@ -139,6 +150,27 @@ class TestVerify:
         assert rc == 0
         assert json.loads(out)["verdict"]["tag"] == "WholeSurface"
 
+    def test_no_point_evaluated_is_not_consistent(self, capsys, monkeypatch):
+        from abelianity import elliptic
+
+        def all_poles(*args, **kwargs):
+            def evaluate(x):
+                raise PoleError("every grid point is a pole")
+            return evaluate
+
+        monkeypatch.setattr(elliptic, "exchange_plan", all_poles)
+        monkeypatch.setattr(elliptic, "centrality_plan", all_poles)
+        rc, out = run(capsys, "verify-y", "--surface", "1,2", "--lambda", "1/3")
+        doc = json.loads(out)
+        assert rc == 1
+        assert doc["points_evaluated"] == 0
+        assert doc["numeric_consistent"] is False
+        assert doc["classification_consistent"] is True
+        rc, out = run(capsys, "verify-super", "--m", "3", "--lambda", "2")
+        doc = json.loads(out)
+        assert rc == 1
+        assert doc["points_evaluated"] == 0 and doc["consistent"] is False
+
     def test_verify_y_non_abelian(self, capsys):
         rc, out = run(capsys, "verify-y", "--surface", "2,5", "--lambda=-2/3",
                       "--q", "0.6")
@@ -216,6 +248,58 @@ class TestScan:
         assert rc == 0
         assert capsys.readouterr().err == ""
 
+    def test_box6_bytes_unchanged(self, capsys):
+        rc, out = run(capsys, "scan", "--box=6")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SCAN_BOX6_SHA256
+
+    def test_streams_one_write_per_outer_surface(self, capsys, monkeypatch):
+        writes = []
+        real_write = sys.stdout.write
+        monkeypatch.setattr(sys.stdout, "write",
+                            lambda text: writes.append(text) or real_write(text))
+        assert main(["scan", "--box=2"]) == 0
+        surfs = [Surface(m, n) for m in range(-2, 3) for n in range(-2, 3)
+                 if (m, n) != (0, 0)]
+        rows = sum(any(intersect_surfaces(s1, s2) for s2 in surfs[i + 1:])
+                   for i, s1 in enumerate(surfs))
+        assert len(writes) == rows
+        assert all(w.endswith("\n") and not w.endswith("\n\n") for w in writes)
+
+    def test_out_copies_the_stream(self, capsys, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        rc, out = run(capsys, "scan", "--box=2", "--out", str(path))
+        assert rc == 0
+        assert path.read_text() == out
+
+    def test_empty_box_is_one_blank_line(self, capsys, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        rc, out = run(capsys, "scan", "--box=0", "--out", str(path))
+        assert rc == 0
+        assert out == "\n" and path.read_text() == "\n"
+
+    def test_negative_box_is_exit_2(self, capsys):
+        rc = main(["scan", "--box=-1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--box" in captured.err
+
+    def test_closed_pipe_is_quiet(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(abelianity.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "abelianity", "scan", "--box=6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()  # like `| head -n1`: the reader goes away
+        err = proc.stderr.read()
+        proc.stderr.close()
+        rc = proc.wait(timeout=120)
+        assert json.loads(first)["s1"] == [-6, -6]
+        assert b"Traceback" not in err and b"Error" not in err
+        assert rc == 0
+
 
 class TestOutFile:
     def test_bytes_identical(self, capsys, tmp_path):
@@ -233,6 +317,21 @@ class TestExitCodes:
     def test_bad_rational(self, capsys):
         rc, _ = run(capsys, "classify", "--surface", "1,2", "--lambda", "x/y")
         assert rc == 2
+
+    def test_zero_denominator_is_exit_2(self, capsys):
+        for argv in (["classify", "--surface", "1,2", "--lambda=1/0"],
+                     ["verify-y", "--surface", "1,2", "--lambda=1/0"],
+                     ["poisson", "--surface", "1,2", "--lambda=-3/0"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "argument --lambda" in captured.err
+
+    def test_empty_grid_is_exit_2(self, capsys):
+        for count in ("0", "-3"):
+            rc, out = run(capsys, "verify-y", "--surface", "1,2", "--lambda",
+                          "1/3", f"--grid=0.8,1.25,{count}")
+            assert rc == 2 and out == ""
 
     def test_surface_origin(self, capsys):
         rc, _ = run(capsys, "classify", "--surface", "0,0", "--lambda", "1/3")

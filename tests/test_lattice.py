@@ -20,10 +20,12 @@ from abelianity import (
     Verdict,
     anchor_realization,
     bezout_realizations,
+    LineParams,
     classify_intersection,
     classify_lambda,
     cross_cancellation_realizations,
     intersect_surfaces,
+    intersection_sides,
     lambda_of_intersection,
     realize_line_as_intersections,
     solve_condition2,
@@ -199,6 +201,43 @@ class TestClassifyLambda:
         assert w.gamma_prime * w.g + w.gamma * ((s.m + s.n) // w.d) == 1
 
 
+class TestIntegerLayer:
+    """The integer forms of the exact checks against their Fraction statements."""
+
+    @given(surfaces, st.integers(-60, 60), st.integers(1, 40))
+    @settings(max_examples=400)
+    def test_condition2_d_matches_raw_predicate(self, s, num, den):
+        from abelianity.lattice import _condition2_d
+        if s.m == 0 or s.n == 0:
+            return
+        lam = F(num, den)
+        d = _condition2_d(s, LambdaPair.from_lambda(lam))
+        assert (None if d == 1 else d) == raw_condition2(s, lam)
+
+    @given(surfaces, st.integers(-60, 60), st.integers(1, 40))
+    @settings(max_examples=200)
+    def test_over_is_lowest_terms(self, s, num, den):
+        if s.m == 0 or s.n == 0:
+            return
+        pair = LambdaPair.from_lambda(F(num, den))
+        a, d, b, dp = pair.over(s.m, s.n)
+        assert F(a, d) == pair.lam / s.m and d == (pair.lam / s.m).denominator
+        assert F(b, dp) == pair.lam_star / s.n and dp == (pair.lam_star / s.n).denominator
+
+    def test_invariants_still_checked(self):
+        with pytest.raises(ValueError):
+            LineParams(F(1, 3), F(-1, 3), F(1, 3))
+        with pytest.raises(ValueError):
+            LambdaPair(F(1, 2), F(1, 3))
+        assert LineParams(F(1, 3), F(-1, 3), F(2, 3)).c_over_N == F(2, 3)
+        assert LambdaPair(F(-5, 6), F(11, 6)).lam_star == F(11, 6)
+
+    def test_lambda_required_off_whole_surfaces(self):
+        assert classify_lambda(Surface(0, 3), None).tag is Verdict.WHOLE_SURFACE
+        with pytest.raises(DegenerateParametrizationError):
+            classify_lambda(Surface(2, 5), None)
+
+
 class TestClassifyIntersection:
     def test_asymmetric_type_a_witness(self):
         v1, v2 = classify_intersection(Surface(3, 6), Surface(2, 5))
@@ -233,6 +272,25 @@ class TestClassifyIntersection:
             lam = None if (sa.m == 0 or sa.n == 0) \
                 else lambda_of_intersection(sa, sb)
             assert is_abelian(exchange_exponents(sa, lam)) == v.is_abelian
+
+    def test_sides_carry_coordinate_and_verdict(self):
+        box = 3
+        surfs = [Surface(m, n) for m in range(-box, box + 1)
+                 for n in range(-box, box + 1) if (m, n) != (0, 0)]
+        for i, s1 in enumerate(surfs):
+            for s2 in surfs[i + 1:]:
+                if intersect_surfaces(s1, s2) is None:
+                    with pytest.raises(NoIntersectionError):
+                        intersection_sides(s1, s2)
+                    continue
+                sides = intersection_sides(s1, s2, 4)
+                assert tuple(v for _, v in sides) == classify_intersection(s1, s2, 4)
+                for (sa, sb), (lam, v) in zip(((s1, s2), (s2, s1)), sides):
+                    if sa.m == 0 or sa.n == 0:
+                        assert lam is None
+                    else:
+                        assert lam == lambda_of_intersection(sa, sb)
+                    assert v == classify_lambda(sa, lam, 4)
 
     def test_small_box_equivalence_and_symmetry(self):
         """Intersection-level conditions agree with the per-side verdicts,

@@ -18,6 +18,7 @@ from abelianity import (
     reduced_form,
     super_abelianity_check,
 )
+from abelianity.oracle import _exchange_lists
 
 
 class TestExchangeExponents:
@@ -115,6 +116,67 @@ class TestReducedForm:
         pair = LambdaPair.from_lambda(lam)
         rnum, rden = reduced_form(s, pair)
         assert ExponentMultiset.build(rnum, rden) == exchange_exponents(s, pair)
+
+
+def _nonzero(lo, hi):
+    return st.integers(lo, hi).filter(bool)
+
+
+class TestClosedForm:
+    """The residue-counting closed forms against the explicit product lists."""
+
+    @given(_nonzero(-10**4, 10**4), _nonzero(-10**4, 10**4),
+           st.integers(-60, 60), st.integers(1, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_exchange_matches_explicit_lists_large_surfaces(self, m, n, num, den):
+        s, pair = Surface(m, n), LambdaPair.from_lambda(F(num, den))
+        assert exchange_exponents(s, pair) == \
+            ExponentMultiset.build(*_exchange_lists(s, pair))
+
+    @given(_nonzero(-40, 40), _nonzero(-40, 40),
+           st.integers(-200, 200), st.integers(1, 30))
+    @settings(max_examples=400, deadline=None)
+    def test_exchange_matches_explicit_lists(self, m, n, num, den):
+        s, pair = Surface(m, n), LambdaPair.from_lambda(F(num, den))
+        mset = exchange_exponents(s, pair)
+        assert mset == ExponentMultiset.build(*_exchange_lists(s, pair))
+        assert mset.as_dict() == \
+            ExponentMultiset.build(*_exchange_lists(s, pair)).as_dict()
+
+    @given(_nonzero(-2000, 2000), _nonzero(-2000, 2000), st.sampled_from([0, 1]))
+    @settings(max_examples=20, deadline=None)
+    def test_boundary_lambda(self, m, n, lam):
+        # lambda = 0 and lambda* = 0 cancel identically in both forms
+        s, pair = Surface(m, n), LambdaPair.from_lambda(lam)
+        mset = exchange_exponents(s, pair)
+        assert mset == ExponentMultiset.build(*_exchange_lists(s, pair))
+        assert mset.is_empty()
+
+    @given(st.integers(-300, 300), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_whole_surface_matches_explicit_lists(self, k, on_n):
+        if k == 0:
+            return
+        s = Surface(0, k) if on_n else Surface(k, 0)
+        assert exchange_exponents(s) == \
+            ExponentMultiset.build(*_exchange_lists(s, None))
+
+    @given(st.integers(1, 400), st.integers(-1000, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_centrality_matches_explicit_lists(self, m, lam):
+        num = [F((lam - 1) * k, m) for k in range(1, m + 1)]
+        den = [F(lam * k, m) for k in range(1, m + 1)]
+        assert centrality_exponents(m, lam) == ExponentMultiset.build(num, den)
+
+    def test_entries_are_exact_fractions(self):
+        mset = exchange_exponents(Surface(2, 5), LambdaPair.from_lambda(F(-2, 3)))
+        assert mset.modulus == 3 and mset.residues == ((1, -1), (2, 1))
+        assert mset.entries == ((F(1, 3), -1), (F(2, 3), 1))
+
+    def test_equal_multisets_share_a_modulus(self):
+        # keys over a larger common denominator reduce to the smallest one
+        assert ExponentMultiset.build([F(1, 2), F(1, 3)], [F(1, 3)]) == \
+            ExponentMultiset.build([F(3, 6)], [])
 
 
 class TestCentralityExponents:
