@@ -33,28 +33,38 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+# argparse shows the text of an ArgumentTypeError but replaces that of a
+# ValueError with "invalid <function name> value"
 def _parse_frac(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_surface(text: str) -> Surface:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"surface must be 'm,n', got {text!r}")
-    return Surface(int(parts[0]), int(parts[1]))
+        raise argparse.ArgumentTypeError(f"surface must be 'm,n', got {text!r}")
+    try:
+        return Surface(int(parts[0]), int(parts[1]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_grid(text: str) -> list[complex]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"grid must be 'r1,r2,count', got {text!r}")
-    count = int(parts[2])
+        raise argparse.ArgumentTypeError(f"grid must be 'r1,r2,count', got {text!r}")
+    try:
+        r1, r2, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if count < 1:
-        raise ValueError(f"grid count must be at least 1, got {count}")
-    return elliptic.verification_grid(float(parts[0]), float(parts[1]), count)
+        raise argparse.ArgumentTypeError(f"grid count must be at least 1, got {count}")
+    return elliptic.verification_grid(r1, r2, count)
 
 
 def _surface_dict(s: Surface) -> dict:
@@ -292,13 +302,17 @@ def _cmd_poisson(args) -> int:
         else (lambda x: poisson.f_compact(ctx, params, x)))
     rows = []
     for x in args.grid:
+        x_re, x_im = f"{x.real:.17g}", f"{x.imag:.17g}"
         try:
             val = evaluate(x)
-        except PoleError:
+        except PoleError as exc:
+            print(f"poisson: skipped x = {x_re},{x_im}: {exc}", file=sys.stderr)
             continue
-        rows.append((f"{x.real:.17g}", f"{x.imag:.17g}",
-                     f"{val.real:.17g}", f"{val.imag:.17g}"))
+        rows.append((x_re, x_im, f"{val.real:.17g}", f"{val.imag:.17g}"))
     _write_output(emit((("x_re", "x_im", "f_re", "f_im"), rows), "csv"), args.out)
+    if not rows:
+        print("poisson: no grid point could be evaluated", file=sys.stderr)
+        return 1
     return 0
 
 

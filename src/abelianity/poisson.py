@@ -8,7 +8,9 @@ type and must agree:
   * the compact route assembles -N lambda ln(q) x d/dx of a weighted sum of
     log U_a factors analytically from the theta log-derivative series;
   * the series route evaluates the explicit double sums
-    f = -2 N lambda ln(q) (2 I(x) - I(qx) - I(x/q)) term by term.
+    f = -2 N lambda ln(q) (2 I(x) - I(qx) - I(x/q)), with each Lambert pair
+    of I summed in its dual nome by `theta_logderiv_series`, so the cost
+    stays bounded as q -> 1.
 
 Type (a) covers non-vanishing integer lambda (weights m/l, n/l* with l, l*
 the reduced denominators of lambda/m, lambda*/n); type (b) covers the
@@ -19,6 +21,7 @@ apply and must coincide.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,39 +104,53 @@ class PoissonParamsB:
 # series primitives
 # ---------------------------------------------------------------------------
 
-_MAX_TERMS = 20000
-
-
-def _geom_sum(a: float, w: complex, eps: float, *, start: int = 0) -> complex:
-    """sum_{s>=start} w a^s / (1 - w a^s), truncated by the geometric tail."""
-    total = 0.0 + 0.0j
-    an = a ** start
-    scale = max(abs(w), 1.0)
-    for _ in range(_MAX_TERMS):
-        wa = w * an
-        denom = 1.0 - wa
-        if abs(denom) < 1e-9:
-            raise PoleError(f"series pole: w a^s within 1e-9 of 1 (w={w})")
-        total += wa / denom
-        an *= a
-        if abs(w) * an < eps / scale:
-            break
-    return total
-
-
 def theta_logderiv_series(a: float, x: complex, *, eps: float = 1e-16) -> complex:
-    """-x d/dx ln theta_a(x) as the Lambert-type series
+    """-x d/dx ln theta_a(x), the Lambert-type pair
 
-        sum_{s>=0} x a^s/(1 - x a^s) - sum_{s>=1} x^-1 a^s/(1 - x^-1 a^s).
+        D_a(x) = sum_{s>=0} x a^s/(1 - x a^s) - sum_{s>=1} x^-1 a^s/(1 - x^-1 a^s),
 
-    Satisfies value(a,x) + value(a,1/x) = -1 identically.
+    summed in the dual nome rho = exp(-4 pi^2/T), T = ln(1/a) (Jacobi
+    imaginary transformation, DLMF 20.7):
+
+        D_a(x) = -1/2 - ln(x)/T - (i pi/T) sigma (1 + 2 D_rho(X)),
+        X = exp(-2 pi i sigma ln(x)/T),
+
+    with the principal ln and sigma = -1 when Im ln x > 0, else +1, so that
+    sqrt(rho) <= |X| <= 1.  D_rho keeps its pairs up to the least n with
+    rho^(n-1/2) < eps: the cost stays bounded as a -> 1 (one term once rho
+    underflows) and no sum is cut short.  A zero x = a^k (1 + delta) of
+    theta_a sits at |X - 1| ~ 2 pi |delta|/T; PoleError is raised for
+    |X - 1| < 2 pi 1e-9/T, i.e. |delta| below about 1e-9.  Satisfies
+    value(a,x) + value(a,1/x) = -1.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"nome must lie in (0,1), got {a}")
     x = complex(x)
     if x == 0:
         raise DomainError("argument must be nonzero")
-    return _geom_sum(a, x, eps) - _geom_sum(a, 1.0 / x, eps, start=1)
+    T = -math.log(a)
+    lnx = cmath.log(x)
+    sigma = -1.0 if lnx.imag > 0.0 else 1.0
+    # X = exp(re + i im), re <= 0; gap = 1 - X stays accurate near X = 1
+    re = 2.0 * math.pi * sigma * lnx.imag / T
+    im = -2.0 * math.pi * sigma * lnx.real / T
+    mod = math.exp(re)
+    X = complex(mod * math.cos(im), mod * math.sin(im))
+    gap = complex(2.0 * math.sin(0.5 * im) ** 2 - math.expm1(re) * math.cos(im),
+                  -X.imag)
+    if abs(gap) < 2e-9 * math.pi / T:
+        raise PoleError(f"series pole: x within 1e-9 of a power of a (x={x})")
+    log_rho = -4.0 * math.pi * math.pi / T
+    rho = math.exp(log_rho)
+    n = math.floor(math.log(eps) / log_rho + 0.5) + 1 if rho > 0.0 else 1
+    total = (1.0 + X) / gap   # 1 + 2 X/(1 - X)
+    if n > 1:
+        iX = 1.0 / X
+        r = 1.0
+        for _ in range(1, n):
+            r *= rho
+            total += 2.0 * (X * r / (1.0 - X * r) - iX * r / (1.0 - iX * r))
+    return -0.5 - lnx / T - 1j * math.pi * sigma * total / T
 
 
 def _u_logderiv(ctx: EllipticContext, a: float, x: complex) -> complex:
@@ -180,13 +197,12 @@ def f_type_a_series(ctx: EllipticContext, params: PoissonParamsA,
     a1 = ctx.q ** (2.0 * ctx.N / params.ell)
     a2 = ctx.q ** (2.0 * ctx.N / params.ell_star)
     eps = ctx.eps_trunc
+    D = theta_logderiv_series
 
     def I(y: complex) -> complex:
         y2 = y * y
-        part1 = _geom_sum(a1, y2, eps) - _geom_sum(a1, 1.0 / y2, eps, start=1)
-        part2 = _geom_sum(a2, y2, eps) - _geom_sum(a2, 1.0 / y2, eps, start=1)
-        return (params.surface.m / params.ell) * part1 \
-            + (params.surface.n / params.ell_star) * part2
+        return (params.surface.m / params.ell) * D(a1, y2, eps=eps) \
+            + (params.surface.n / params.ell_star) * D(a2, y2, eps=eps)
 
     return -2.0 * ctx.N * params.lam * math.log(ctx.q) \
         * _second_difference(I, ctx, x)
@@ -205,31 +221,19 @@ def f_type_b(ctx: EllipticContext, params: PoissonParamsB, x: complex) -> comple
             + (d/(mn)) sum_{k=1}^{mu-1} (k - mu)
                   ln( U_{q^{2N}}(s^k x) U_{q^{2N}}(s^-k x) ) ]
 
-    with s = q^{-N lambda/m}; s enters only through p^k x^2 where p = s^2.
+    with s = q^{-N lambda/m}.
     """
     m, n = params.surface.m, params.surface.n
     d, mu = params.d, params.mu
     a_d = ctx.q ** (2.0 * ctx.N / d)
     a_full = ctx.nome
-    q2 = ctx.q * ctx.q
-    eps = ctx.eps_trunc
-    p = ctx.q ** (-2.0 * ctx.N * float(params.lam / m))
-    D = theta_logderiv_series
+    s = ctx.q ** (-ctx.N * float(params.lam / m))
 
     bracket = (1.0 + mu * mu / (m * n)) * _u_logderiv(ctx, a_d, x)
     bracket -= (d * mu / (m * n)) * _u_logderiv(ctx, a_full, x)
-    x2 = x * x
     for k in range(1, mu):
-        pk = p ** k
-        # x d/dx ln U_a(s^k x): squared argument p^k x^2, chain factor +-2
-        term = 2.0 * (D(a_full, pk * x2, eps=eps)
-                      - D(a_full, q2 * pk * x2, eps=eps)
-                      + D(a_full, q2 / (pk * x2), eps=eps)
-                      - D(a_full, 1.0 / (pk * x2), eps=eps))
-        term += 2.0 * (D(a_full, x2 / pk, eps=eps)
-                       - D(a_full, q2 * x2 / pk, eps=eps)
-                       + D(a_full, q2 * pk / x2, eps=eps)
-                       - D(a_full, pk / x2, eps=eps))
+        term = _u_logderiv(ctx, a_full, s ** k * x) \
+            + _u_logderiv(ctx, a_full, x / s ** k)
         bracket += (d / (m * n)) * (k - mu) * term
     pref = -ctx.N * float(params.lam) * math.log(ctx.q) * (m + n) / d
     return pref * bracket
@@ -246,20 +250,15 @@ def f_type_b_series(ctx: EllipticContext, params: PoissonParamsB,
     a_full = ctx.nome
     eps = ctx.eps_trunc
     p = ctx.q ** (-2.0 * ctx.N * float(params.lam / m))
+    D = theta_logderiv_series
 
     def I(y: complex) -> complex:
         y2 = y * y
-        total = (1.0 + mu * mu / (m * n)) \
-            * (_geom_sum(a_d, y2, eps) - _geom_sum(a_d, 1.0 / y2, eps, start=1))
-        total += (d * mu / (m * n)) \
-            * (_geom_sum(a_full, y2, eps)
-               - _geom_sum(a_full, 1.0 / y2, eps, start=1))
+        total = (1.0 + mu * mu / (m * n)) * D(a_d, y2, eps=eps)
+        total += (d * mu / (m * n)) * D(a_full, y2, eps=eps)
         for k in range(mu):
             pk = p ** k
-            ksum = (_geom_sum(a_full, pk * y2, eps)
-                    + _geom_sum(a_full, y2 / pk, eps, start=1)
-                    - _geom_sum(a_full, pk / y2, eps)
-                    - _geom_sum(a_full, 1.0 / (pk * y2), eps, start=1))
+            ksum = D(a_full, pk * y2, eps=eps) - D(a_full, pk / y2, eps=eps)
             total += (d / (m * n)) * (k - mu) * ksum
         return total
 

@@ -205,6 +205,41 @@ class TestPoissonCommand:
         rc, _ = run(capsys, "poisson", "--surface", "2,5", "--lambda=-2/3")
         assert rc == 2
 
+    @staticmethod
+    def _poles_at(monkeypatch, points):
+        from abelianity import poisson
+
+        def evaluate(ctx, params, x):
+            if x in points:
+                raise PoleError(f"pole at {x}")
+            return 0j
+
+        monkeypatch.setattr(poisson, "f_compact", evaluate)
+
+    def test_skipped_point_named(self, capsys, monkeypatch):
+        grid = abelianity.verification_grid(0.8, 1.25, 4)
+        self._poles_at(monkeypatch, grid[1:2])
+        rc = main(["poisson", "--surface", "1,2", "--lambda", "1/3",
+                   "--grid", "0.8,1.25,4"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert len(captured.out.strip().split("\n")) == 1 + 3
+        skipped = captured.err.strip().split("\n")
+        assert len(skipped) == 1
+        assert f"{grid[1].real:.17g},{grid[1].imag:.17g}" in skipped[0]
+
+    def test_all_pole_grid_is_exit_1(self, capsys, monkeypatch):
+        grid = abelianity.verification_grid(0.8, 1.25, 3)
+        self._poles_at(monkeypatch, grid)
+        rc = main(["poisson", "--surface", "1,2", "--lambda", "1/3",
+                   "--grid", "0.8,1.25,3"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == "x_re,x_im,f_re,f_im\n"
+        for x in grid:
+            assert f"skipped x = {x.real:.17g},{x.imag:.17g}" in captured.err
+        assert "no grid point could be evaluated" in captured.err
+
 
 class TestScan:
     @staticmethod
@@ -336,3 +371,18 @@ class TestExitCodes:
     def test_surface_origin(self, capsys):
         rc, _ = run(capsys, "classify", "--surface", "0,0", "--lambda", "1/3")
         assert rc == 2
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["classify", "--surface", "1,2", "--lambda=1/0"],
+         "argument --lambda: zero denominator in '1/0'"),
+        (["classify", "--surface=3", "--lambda", "1/3"],
+         "argument --surface: surface must be 'm,n', got '3'"),
+        (["verify-y", "--surface", "1,2", "--lambda", "1/3",
+          "--grid=0.8,1.25,0"],
+         "argument --grid: grid count must be at least 1, got 0"),
+    ], ids=["frac", "surface", "grid"])
+    def test_parser_reason_on_stderr(self, capsys, argv, reason):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "invalid" not in err

@@ -1,4 +1,5 @@
-"""Poisson structure function tests: route equivalence, antisymmetry,
+"""Poisson structure function tests: the dual-nome log-derivative against
+the nome series, route equivalence (near q = 1 too), antisymmetry,
 finite-difference oracles, the case overlap, and the multi-index bracket."""
 
 import cmath
@@ -6,14 +7,20 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelianity import (
     DomainError,
     EllipticContext,
+    LambdaPair,
+    PoleError,
     PoissonParamsA,
     PoissonParamsB,
     Surface,
+    f_compact,
     f_kk,
+    f_series,
     f_type_a,
     f_type_a_series,
     f_type_b,
@@ -37,6 +44,54 @@ PB2 = PoissonParamsB.from_line(Surface(5, 4), F(-25, 3))
 
 def rel_err(a, b):
     return abs(a - b) / (1.0 + abs(a))
+
+
+# Reference: the Lambert pair summed term by term in the nome a itself.  It
+# needs ln(1e16)/ln(1/a) terms, so it raises instead of returning a partial
+# sum once that exceeds its cap.
+_MAX_TERMS = 20000
+
+
+def _geom_sum(a: float, w: complex, eps: float, *, start: int = 0) -> complex:
+    """sum_{s>=start} w a^s / (1 - w a^s), truncated by the geometric tail."""
+    total = 0.0 + 0.0j
+    an = a ** start
+    scale = max(abs(w), 1.0)
+    for _ in range(_MAX_TERMS):
+        wa = w * an
+        denom = 1.0 - wa
+        if abs(denom) < 1e-9:
+            raise PoleError(f"series pole: w a^s within 1e-9 of 1 (w={w})")
+        total += wa / denom
+        an *= a
+        if abs(w) * an < eps / scale:
+            return total
+    raise AssertionError(f"reference series needs more than {_MAX_TERMS} "
+                         f"terms at a={a}")
+
+
+def reference_logderiv(a: float, x: complex) -> complex:
+    return _geom_sum(a, x, 1e-16) - _geom_sum(a, 1.0 / x, 1e-16, start=1)
+
+
+def zero_distance(a: float, x: complex) -> float:
+    """|ln x - ln a^k| for the zero a^k of theta_a nearest x."""
+    T = -math.log(a)
+    lnx = cmath.log(x)
+    return abs(lnx + round(-lnx.real / T) * T)
+
+
+def rounding_spread(D, a: float, x: complex) -> float:
+    """Ten units of the rounding of ln x and T = ln(1/a), u (1 + |ln x| + T)
+    in ln x, times |dD/d ln x| from a central difference.  Any evaluation at
+    float arguments inherits this error.  |dD/d ln x| grows like 1/T^2 and
+    is largest on the positive real axis near the zeros a^k of theta_a:
+    there both the nome series and the dual nome are off by up to about
+    2e-11 from 50-digit sums at a = 0.95."""
+    T = -math.log(a)
+    h = 1e-3 * min(T, 1.0, zero_distance(a, x))
+    slope = abs(D(a, x * math.exp(h)) - D(a, x * math.exp(-h))) / (2 * h)
+    return 2.2e-15 * (1.0 + abs(cmath.log(x)) + T) * slope
 
 
 class TestThetaLogDerivative:
@@ -64,6 +119,64 @@ class TestThetaLogDerivative:
     def test_domain(self):
         with pytest.raises(DomainError):
             theta_logderiv_series(1.2, 0.5)
+
+    def test_reference_refuses_partial_sums(self):
+        with pytest.raises(AssertionError):
+            reference_logderiv(0.999, 1.3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(0.0, 0.95, exclude_min=True), log10_r=st.floats(-3, 3),
+           phi=st.one_of(st.floats(-math.pi, math.pi),
+                         st.sampled_from([0.0, math.pi, -math.pi / 2])))
+    def test_matches_nome_series(self, a, log10_r, phi):
+        x = 10.0 ** log10_r * cmath.exp(1j * phi)
+        try:
+            ref = reference_logderiv(a, x)
+        except PoleError:
+            with pytest.raises(PoleError):
+                theta_logderiv_series(a, x)
+            return
+        try:
+            val = theta_logderiv_series(a, x)
+        except PoleError:
+            # both pole tests stop at about 1e-9 from a zero
+            assert zero_distance(a, x) < 1.1e-9
+            return
+        assert abs(val - ref) <= 1e-12 * (1.0 + abs(ref)) \
+            + rounding_spread(reference_logderiv, a, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log10_t=st.floats(-5, 1), log10_r=st.floats(-3, 3),
+           phi=st.one_of(st.floats(-math.pi, math.pi),
+                         st.sampled_from([0.0, math.pi, math.pi / 2])))
+    def test_inversion_near_unit_nome(self, log10_t, log10_r, phi):
+        # a = exp(-T) from 0.99999 down to exp(-10)
+        a = math.exp(-10.0 ** log10_t)
+        x = 10.0 ** log10_r * cmath.exp(1j * phi)
+        try:
+            d = theta_logderiv_series(a, x)
+        except PoleError:
+            with pytest.raises(PoleError):
+                theta_logderiv_series(a, 1 / x)
+            return
+        total = d + theta_logderiv_series(a, 1 / x)
+        assert abs(total + 1.0) <= 1e-12 * (1.0 + abs(d)) \
+            + rounding_spread(theta_logderiv_series, a, x)
+
+    @pytest.mark.parametrize("a", [1e-6, 0.3, 0.9, 0.999, 0.99999])
+    @pytest.mark.parametrize("k", [-3, 0, 2, 50])
+    def test_pole_at_nome_powers(self, a, k):
+        with pytest.raises(PoleError):
+            theta_logderiv_series(a, a ** k * (1 + 1e-12))
+        assert cmath.isfinite(theta_logderiv_series(a, a ** k * (1 + 1e-6)))
+
+    @pytest.mark.parametrize("delta", [1e-7, -1e-6, 3e-8j])
+    def test_accurate_next_to_zero_at_one(self, delta):
+        # 1 - x is exact here, so the nome series is accurate; the dual
+        # must form 1 - X without cancellation to match it
+        x = 1 + delta
+        ref = reference_logderiv(0.5, x)
+        assert abs(theta_logderiv_series(0.5, x) - ref) <= 1e-12 * abs(ref)
 
 
 def theta_like(a, z):
@@ -105,6 +218,23 @@ class TestParams:
 
 
 class TestRouteEquivalence:
+    # S(p,1) with lambda = 2 has l = p: weight nomes q^(6/p) as close as
+    # 6e-6 to 1, where a nome series needs up to 6e6 terms; (5,9) with
+    # lambda = -65/7 is type (b) with d = 7, mu = 5
+    @pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("surface,lam", [
+        (Surface(2, 1), 2), (Surface(97, 1), 2), (Surface(997, 1), 2),
+        (Surface(1000, 1), 2), (Surface(5, 9), F(-65, 7)),
+    ], ids=["2,1:2", "97,1:2", "997,1:2", "1000,1:2", "5,9:-65/7"])
+    def test_near_unit_q(self, surface, lam, q):
+        ctx = EllipticContext(N=3, q=q)
+        params = params_for_line(surface, LambdaPair.from_lambda(lam))
+        if surface.m == 5:
+            assert isinstance(params, PoissonParamsB) and params.d >= 7
+        for x in verification_grid(count=8):
+            fc = f_compact(ctx, params, x)
+            assert rel_err(fc, f_series(ctx, params, x)) <= 1e-8
+
     @pytest.mark.parametrize("params", [PA_FLAT, PA], ids=["3,6:-1", "5,2:2"])
     def test_type_a(self, params):
         for x in verification_grid():
