@@ -20,11 +20,8 @@ from .lattice import (
     SuperAbelianityVerdict,
     Verdict,
     Witnesses,
-    anchor_realization,
-    bezout_realizations,
     classify_intersection,
     classify_lambda,
-    cross_cancellation_realizations,
     intersect_surfaces,
     intersection_sides,
     lambda_of_intersection,
@@ -39,17 +36,14 @@ from .oracle import (
     cycle_collapses,
     exchange_exponents,
     is_abelian,
-    reduced_form,
 )
 from .elliptic import (
     DomainError,
     EllipticContext,
     PoleError,
     admissible_half_nome_roots,
-    calF,
     centrality_plan,
     centrality_ratio,
-    exchange_factor,
     exchange_plan,
     theta,
     ufunc,

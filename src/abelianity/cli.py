@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -62,9 +63,32 @@ def _parse_grid(text: str) -> list[complex]:
         r1, r2, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    for r in (r1, r2):
+        if not math.isfinite(r) or r == 0:
+            raise argparse.ArgumentTypeError(
+                f"grid radii must be finite and nonzero, got {r}")
     if count < 1:
         raise argparse.ArgumentTypeError(f"grid count must be at least 1, got {count}")
     return elliptic.verification_grid(r1, r2, count)
+
+
+def _parse_kk(text: str) -> tuple[int, int]:
+    try:
+        k, kp = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"multi-index must be two integers 'k,kp', got {text!r}") from None
+    return k, kp
+
+
+def _parse_rank(text: str) -> int:
+    try:
+        N = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if N < 2:
+        raise argparse.ArgumentTypeError(f"N must be >= 2, got {N}")
+    return N
 
 
 def _surface_dict(s: Surface) -> dict:
@@ -81,7 +105,7 @@ def _verdict_dict(v: lattice.AbelianityVerdict) -> dict:
     wit = None
     if v.witnesses is not None:
         wit = {k: getattr(v.witnesses, k)
-               for k in ("d", "gamma", "gamma_prime", "g", "beta0", "beta0_prime")
+               for k in ("d", "gamma", "gamma_prime", "g")
                if getattr(v.witnesses, k) is not None}
     return {"tag": v.tag.value, "abelian": v.is_abelian,
             "witnesses": wit, "n_caveat": v.n_caveat}
@@ -135,8 +159,18 @@ def _cmd_intersect(args) -> int:
     return 0
 
 
-def _zero_lambda(lam: LambdaPair) -> bool:
-    return lam.lam == 0 or lam.lam_star == 0
+def _oracle_agreement(s: Surface, lam: LambdaPair | None,
+                      verdict: lattice.AbelianityVerdict,
+                      oracle_abelian: bool) -> tuple[bool, bool]:
+    """(zero-lambda exclusion, verdict agrees with the oracle).
+
+    lambda=0 / lambda*=0 cancels identically but leaves the |p|<1 moduli
+    space, so the verdict is NotAbelian by convention; not a mismatch.
+    """
+    excluded = not s.is_whole_surface_abelian() and \
+        (lam.lam == 0 or lam.lam_star == 0)
+    return excluded, (verdict.is_abelian == oracle_abelian
+                      or (excluded and oracle_abelian))
 
 
 def _cmd_classify(args) -> int:
@@ -145,11 +179,7 @@ def _cmd_classify(args) -> int:
     verdict = lattice.classify_lambda(s, lam, args.N)
     mset = oracle.exchange_exponents(s, lam)
     oracle_abelian = oracle.is_abelian(mset)
-    # lambda=0 / lambda*=0 cancels identically but leaves the |p|<1 moduli
-    # space, so the verdict is NotAbelian by convention; not a mismatch.
-    excluded = _zero_lambda(lam) and not s.is_whole_surface_abelian()
-    consistent = (verdict.is_abelian == oracle_abelian) or \
-        (excluded and oracle_abelian and not verdict.is_abelian)
+    excluded, consistent = _oracle_agreement(s, lam, verdict, oracle_abelian)
     report = {"surface": _surface_dict(s), "lambda": _lambda_dict(lam),
               "N": args.N, "verdict": _verdict_dict(verdict),
               "oracle_abelian": oracle_abelian,
@@ -232,15 +262,13 @@ def _cmd_verify_y(args) -> int:
     mset = oracle.exchange_exponents(s, lam)
     oracle_abelian = oracle.is_abelian(mset)
     verdict = lattice.classify_lambda(s, lam, args.N)
-    excluded = not s.is_whole_surface_abelian() and _zero_lambda(lam)
+    _, classification_ok = _oracle_agreement(s, lam, verdict, oracle_abelian)
     worst, used = _grid_max_deviation(
         ctx, elliptic.exchange_plan(ctx, s, lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
     # N=2 is the sufficient-only regime: no completeness claim
     numeric_ok = _numeric_ok(worst, used, oracle_abelian or collapses,
                              complete=args.N != 2)
-    classification_ok = (verdict.is_abelian == oracle_abelian) or \
-        (excluded and oracle_abelian)
     report = {"surface": _surface_dict(s), "lambda": _lambda_dict(lam),
               "N": args.N, "q": args.q,
               "verdict": _verdict_dict(verdict),
@@ -374,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, numeric=False):
-        p.add_argument("--N", type=int, default=3,
+        p.add_argument("--N", type=_parse_rank, default=3,
                        help="algebra rank parameter (default 3)")
         p.add_argument("--out", default=None,
                        help="also write the output bytes to this path")
@@ -432,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the Poisson structure function on a grid")
     p.add_argument("--surface", type=_parse_surface, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_frac, required=True)
-    p.add_argument("--kk", type=lambda t: tuple(int(v) for v in t.split(",")),
-                   default=(1, 1), help="multi-index 'k,kp' (default 1,1)")
+    p.add_argument("--kk", type=_parse_kk, default=(1, 1),
+                   help="multi-index 'k,kp' (default 1,1)")
     p.add_argument("--route", choices=("compact", "series"), default="compact")
     add_common(p, numeric=True)
     p.set_defaults(func=_cmd_poisson)

@@ -313,26 +313,6 @@ class ShiftPlan:
         return val
 
 
-def calF(ctx: EllipticContext, s_exponent: Fraction, a: int, x: complex) -> complex:
-    """Shift product F_a(x) with half-nome s = q^{N * s_exponent}:
-
-        prod_{l=0}^{a-1} U(s^l x)        for a > 0,
-        1                                 for a = 0,
-        prod_{l=1}^{|a|} U(s^{-l} x)^-1   for a < 0.
-    """
-    if a == 0:
-        return 1.0 + 0.0j
-    s = ctx.q ** (ctx.N * float(s_exponent))
-    val = 1.0 + 0.0j
-    if a > 0:
-        for ell in range(a):
-            val *= ufunc(ctx, s ** ell * x)
-    else:
-        for ell in range(1, -a + 1):
-            val /= ufunc(ctx, s ** (-ell) * x)
-    return val
-
-
 def admissible_half_nome_roots(ctx: EllipticContext, n: int) -> list[complex]:
     """The |n| complex solutions of s^n = q^{-N} (free half-nome on S_{0,n})."""
     if n == 0:
@@ -371,26 +351,6 @@ def yfunc(ctx: EllipticContext, s: Surface, lam: LambdaPair | None, x: complex,
     complex half-nome root); see `exchange_plan`.
     """
     return exchange_plan(ctx, s, lam, half_nome=half_nome)(x)
-
-
-def _half_index_range(k: int) -> list[Fraction]:
-    # (1-k)/2, (3-k)/2, ..., (k-1)/2 in integer steps
-    return [Fraction(1 - k, 2) + r for r in range(k)]
-
-
-def exchange_factor(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,
-                    k: int, kp: int, x: complex,
-                    *, half_nome: complex | None = None) -> complex:
-    """Exchange factor between rank-k and rank-k' generators:
-    prod over i, j of Y(q^{i-j} x) with half-integer index ranges."""
-    if not (1 <= k <= ctx.N and 1 <= kp <= ctx.N):
-        raise DomainError(f"k, k' must lie in 1..N={ctx.N}")
-    val = 1.0 + 0.0j
-    for i in _half_index_range(k):
-        for j in _half_index_range(kp):
-            shift = ctx.q ** float(i - j)
-            val *= yfunc(ctx, s, lam, shift * x, half_nome=half_nome)
-    return val
 
 
 def centrality_plan(ctx: EllipticContext, m: int, lam: int) -> ShiftPlan:

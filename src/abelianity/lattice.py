@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class NoIntersectionError(Exception):
@@ -165,8 +165,6 @@ class Witnesses:
     gamma: int | None = None
     gamma_prime: int | None = None
     g: int | None = None
-    beta0: int | None = None
-    beta0_prime: int | None = None
 
 
 @dataclass(frozen=True)
@@ -229,24 +227,16 @@ class LambdaFamily:
         lam = self.surface.m * self.lambda_over_m(k)
         return LambdaPair.from_lambda(lam)
 
-    def members(self, k_values: Iterable[int]) -> list[LambdaPair]:
-        return [self.lambda_pair(k) for k in k_values]
-
 
 # ---------------------------------------------------------------------------
 # intersections
 # ---------------------------------------------------------------------------
 
-def _det(s1: Surface, s2: Surface) -> int:
-    # m'n - mn'
-    return s2.m * s1.n - s1.m * s2.n
-
-
 def _meet_det(s1: Surface, s2: Surface) -> int:
     """m'n - mn' when the two surfaces intersect, else 0."""
     if s1.m == s2.m or s1.n == s2.n:
         return 0
-    return _det(s1, s2)
+    return s2.m * s1.n - s1.m * s2.n
 
 
 def intersect_surfaces(s1: Surface, s2: Surface) -> LineParams | None:
@@ -281,6 +271,20 @@ def lambda_of_intersection(s1: Surface, s2: Surface) -> LambdaPair:
     return LambdaPair(lam, lam_star)  # checks lam + lam* = 1
 
 
+def _walk_line(line: LineParams, s1: Surface, s2: Surface,
+               step: tuple[int, int], t_values: Iterable[int]) -> list[Surface]:
+    """The surfaces s2 + t*step for t in t_values, each re-verified to carry
+    `line` by intersecting it with s1 (with s2 when it is s1 itself)."""
+    dm, dn = step
+    out: list[Surface] = []
+    for t in t_values:
+        w = Surface(s2.m + t * dm, s2.n + t * dn)
+        if intersect_surfaces(s2 if w == s1 else s1, w) != line:
+            raise CrossCheckError(f"{w} fails to reproduce the line through {s1}")
+        out.append(w)
+    return out
+
+
 def surfaces_through_line(s1: Surface, s2: Surface,
                           t_range: Iterable[int]) -> list[Surface]:
     """All surfaces through the line s1 cap s2, indexed along the primitive
@@ -295,20 +299,7 @@ def surfaces_through_line(s1: Surface, s2: Surface,
         raise NoIntersectionError(f"{s1} and {s2} do not intersect")
     dm, dn = s1.m - s2.m, s1.n - s2.n
     g0 = math.gcd(dm, dn)
-    dm, dn = dm // g0, dn // g0
-    out: list[Surface] = []
-    for t in t_range:
-        mpp, npp = s2.m + t * dm, s2.n + t * dn
-        if mpp == 0 and npp == 0:  # unreachable for a valid pair; keep the guard
-            continue
-        w = Surface(mpp, npp)
-        anchor = s2 if w == s1 else s1
-        chk = intersect_surfaces(anchor, w)
-        if chk != line:
-            raise CrossCheckError(
-                f"{w} fails to reproduce the line of {s1} cap {s2}")
-        out.append(w)
-    return out
+    return _walk_line(line, s1, s2, (dm // g0, dn // g0), t_range)
 
 
 # ---------------------------------------------------------------------------
@@ -507,42 +498,19 @@ def super_abelianity_check(m: int, lam: int) -> SuperAbelianityVerdict:
 # realizations of a line as intersections
 # ---------------------------------------------------------------------------
 
-def _realization_direction(s: Surface, lam: LambdaPair) -> tuple[int, int]:
-    """Primitive integer direction of the family of surfaces realizing lam.
-
-    All integer solutions of m' e_p + n' e_pstar = -1 (the surface condition
-    on the fixed line) form the lattice line (m,n) + t*(dm,dn); the
-    direction is proportional to (-lambda* m, lambda n).  Normalized so the
-    n-component is negative, which makes small positive t hit the nearby
-    small surfaces first.
-    """
-    vm = -lam.lam_star * s.m
-    vn = lam.lam * s.n
-    scale = math.lcm(vm.denominator, vn.denominator)
-    am, an = int(vm * scale), int(vn * scale)
-    g = math.gcd(am, an)
-    am, an = am // g, an // g
-    if an > 0:
-        am, an = -am, -an
-    return am, an
-
-
-def _realizes(s: Surface, cand: Surface, lam: LambdaPair) -> bool:
-    try:
-        return lambda_of_intersection(s, cand) == lam
-    except (NoIntersectionError, DegenerateParametrizationError):
-        return False
-
-
 def realize_line_as_intersections(s: Surface, lam: LambdaPair,
                                   count: int) -> list[Surface]:
     """`count` distinct surfaces whose intersection with s realizes lam.
 
-    Enumerates the complete primitive-direction family through s, verifying
-    every candidate via lambda_of_intersection before inclusion.  The
-    Bezout/shift constructions (see bezout_realizations and
-    cross_cancellation_realizations) generate sub-families of this lattice
-    line and are kept as independent cross-checks.
+    All integer solutions of m' e_p + n' e_pstar = -1 (the surface condition
+    on the line e_p = -lambda/m, e_pstar = -lambda*/n) form the lattice line
+    (m,n) + t*(dm,dn), with direction proportional to (-lambda* m, lambda n),
+    i.e. to (-b d, a d') for lambda/m = a/d and lambda*/n = b/d' in lowest
+    terms.  The direction is made primitive with dn < 0, so that small
+    positive t hit the nearby small surfaces first, and t = 1..count are
+    walked, every surface re-verified to carry the line.  The Bezout, shift
+    and anchor constructions generate sub-families of this lattice line;
+    tests/test_lattice.py keeps them as reference checks of the walk.
     """
     if s.m == 0 or s.n == 0:
         raise DegenerateParametrizationError(f"{s} has no lambda coordinate")
@@ -550,79 +518,11 @@ def realize_line_as_intersections(s: Surface, lam: LambdaPair,
         raise ConstructionFailedError(
             "lambda=0 or lambda*=0 cannot be realized as an intersection "
             "(it would force m=m' or n=n')")
-    dm, dn = _realization_direction(s, lam)
-    out: list[Surface] = []
-    t = 1
-    while len(out) < count:
-        cand = Surface(s.m + t * dm, s.n + t * dn)
-        if not _realizes(s, cand, lam):
-            raise CrossCheckError(
-                f"primitive-family candidate {cand} failed verification")
-        out.append(cand)
-        t += 1
-    return out
-
-
-def bezout_realizations(s: Surface, lam: LambdaPair,
-                        k_values: Iterable[int]) -> Iterator[Surface]:
-    """Integer-lambda realization family m' = m(l0 + k lam*), n' = n(l0' - k lam)
-    with l0 lam + l0' lam* = 1.  Yields only verified candidates; k values
-    hitting the degenerate member (the surface s itself, or a zero
-    determinant) are skipped.
-    """
-    lam_i, lams_i = lam.lam, lam.lam_star
-    if lam_i.denominator != 1 or lams_i.denominator != 1 or lam_i == 0 or lams_i == 0:
-        raise ConstructionFailedError("requires non-vanishing integer lambda")
-    lam_i, lams_i = int(lam_i), int(lams_i)
-    l0, l0p = _bezout_min_second(lam_i, lams_i)
-    for k in k_values:
-        ell, ellp = l0 + k * lams_i, l0p - k * lam_i
-        mp, np_ = s.m * ell, s.n * ellp
-        if mp == 0 and np_ == 0:
-            continue
-        cand = Surface(mp, np_)
-        if _realizes(s, cand, lam):
-            yield cand
-
-
-def cross_cancellation_realizations(s: Surface, lam: LambdaPair,
-                                    u_values: Iterable[int]) -> Iterator[Surface]:
-    """Condition-2 realization family m' = m - (b/g)u, n' = n + (a/g)u where
-    lambda/m = a/d, lambda*/n = b/d in lowest terms and g = gcd(a, b)."""
-    d = _condition2_d(s, lam)
-    if d is None:
-        raise ConstructionFailedError("line does not satisfy condition 2")
-    a, _, b, _ = lam.over(s.m, s.n)
-    gab = math.gcd(a, b)
-    for u in u_values:
-        if u == 0:
-            continue
-        cand = Surface(s.m - (b // gab) * u, s.n + (a // gab) * u)
-        if _realizes(s, cand, lam):
-            yield cand
-
-
-def anchor_realization(s: Surface, lam: LambdaPair) -> tuple[Surface, bool]:
-    """Single verified anchor surface for a generic rational lambda.
-
-    Tries m' = (a+1)m + d, n' = (a+1)n first (with lambda/m = a/d in lowest
-    terms); direct substitution shows that variant lands on -a/d, so on
-    verification failure the sign-corrected m' = (1-a)m + d, n' = (1-a)n is
-    used.  Returns (surface, used_sign_corrected).  Raises
-    ConstructionFailedError when neither candidate verifies (then the
-    primitive-direction family is the fallback).
-    """
-    if s.m == 0 or s.n == 0:
-        raise DegenerateParametrizationError(f"{s} has no lambda coordinate")
-    a, d, _, _ = lam.over(s.m, s.n)
-    for corrected, (mp, np_) in (
-        (False, ((a + 1) * s.m + d, (a + 1) * s.n)),
-        (True, ((1 - a) * s.m + d, (1 - a) * s.n)),
-    ):
-        if mp == 0 and np_ == 0:
-            continue
-        cand = Surface(mp, np_)
-        if _realizes(s, cand, lam):
-            return cand, corrected
-    raise ConstructionFailedError(
-        f"no anchor realization for lambda={lam.lam} on {s}")
+    a, d, b, dp = lam.over(s.m, s.n)
+    dm, dn = -b * d, a * dp
+    g = math.gcd(dm, dn)
+    if dn > 0:
+        g = -g
+    e_p, e_pstar = -lam.lam / s.m, -lam.lam_star / s.n
+    line = LineParams(e_p, e_pstar, e_p - e_pstar)
+    return _walk_line(line, s, s, (dm // g, dn // g), range(1, count + 1))

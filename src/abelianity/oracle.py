@@ -65,9 +65,6 @@ class ExponentMultiset:
     def is_empty(self) -> bool:
         return not self.residues
 
-    def __len__(self) -> int:
-        return len(self.residues)
-
     def as_dict(self) -> dict[Fraction, int]:
         return dict(self.entries)
 
@@ -168,32 +165,6 @@ def exchange_exponents(s: Surface, lam: LambdaPair | None = None) -> ExponentMul
 def is_abelian(mset: ExponentMultiset) -> bool:
     """True iff the exchange function is identically 1."""
     return mset.is_empty()
-
-
-def reduced_form(s: Surface,
-                 lam: LambdaPair) -> tuple[list[Fraction], list[Fraction]]:
-    """Step-1 reduced products after stripping full q^N-cycles.
-
-    With lambda/m = a/d, lambda*/n = b/d' in lowest terms, |m| = d s + mu,
-    |n| = d' s' + mu' and mubar = min(mu, d - mu):
-      numerator:   {a j/d : j=1..mubar}  u  {b j'/d' : j'=d'-mubar'+1..d'-1}
-      denominator: {a j/d : j=d-mubar+1..d-1}  u  {b j'/d' : j'=1..mubar'}
-    (`_cycle_remainder` on each product pair).  Degenerates to empty lists
-    for integer lambda, where the residue-0 terms of the two pairs cancel.
-    Exponents are reduced mod 1; after cross-cancellation the lists
-    reproduce exchange_exponents.
-    """
-    if s.m == 0 or s.n == 0:
-        raise DegenerateParametrizationError(f"{s} has no lambda coordinate")
-    if lam.lam.denominator == 1:
-        return [], []  # integer-lambda shortcut: everything cancels in step 1
-    a, d, b, dp = lam.over(s.m, s.n)
-    num_m, den_m = _cycle_remainder(d, abs(s.m))
-    den_n, num_n = _cycle_remainder(dp, abs(s.n))
-    return ([Fraction(a * j % d, d) for j in num_m]
-            + [Fraction(b * j % dp, dp) for j in num_n],
-            [Fraction(a * j % d, d) for j in den_m]
-            + [Fraction(b * j % dp, dp) for j in den_n])
 
 
 def cycle_collapses(mset: ExponentMultiset, N: int) -> bool:

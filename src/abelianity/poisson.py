@@ -26,21 +26,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import DomainError, EllipticContext, PoleError, _half_index_range
-from .lattice import LambdaPair, Surface
-
-
-def _sign(v: int) -> int:
-    return 1 if v > 0 else -1
+from .elliptic import DomainError, EllipticContext, PoleError
+from .lattice import LambdaPair, Surface, _condition2_d
 
 
 @dataclass(frozen=True)
 class PoissonParamsA:
     """Parameters of an integer-lambda (type a) line.
 
-    w = gcd(lambda, m) carrying the sign of m (likewise w*), so that
-    l = m/w > 0 and l* = n/w* > 0 are the reduced denominators of lambda/m
-    and lambda*/n.
+    l > 0 and l* > 0 are the reduced denominators of lambda/m and
+    lambda*/n (`LambdaPair.over`), and w = m/l = gcd(lambda, m) carrying
+    the sign of m (likewise w* = n/l*).
     """
 
     surface: Surface
@@ -57,15 +53,9 @@ class PoissonParamsA:
         if lam in (0, 1):
             raise DomainError("type (a) requires non-vanishing integer "
                               "lambda and lambda*")
-        lam_star = 1 - lam
-        w = _sign(surface.m) * math.gcd(abs(lam), abs(surface.m))
-        w_star = _sign(surface.n) * math.gcd(abs(lam_star), abs(surface.n))
-        ell = surface.m // w
-        ell_star = surface.n // w_star
-        assert ell > 0 and ell_star > 0
-        assert ell == (Fraction(lam, surface.m)).denominator
-        assert ell_star == (Fraction(lam_star, surface.n)).denominator
-        return cls(surface, lam, w, w_star, ell, ell_star)
+        _, ell, _, ell_star = LambdaPair.from_lambda(lam).over(surface.m, surface.n)
+        return cls(surface, lam, surface.m // ell, surface.n // ell_star,
+                   ell, ell_star)
 
 
 @dataclass(frozen=True)
@@ -86,18 +76,11 @@ class PoissonParamsB:
         lam = Fraction(lam)
         if surface.m == 0 or surface.n == 0:
             raise DomainError(f"{surface} has no lambda coordinate")
-        lam_star = 1 - lam
-        lm = lam / surface.m
-        ln = lam_star / surface.n
-        if (lm - ln).denominator != 1:
-            raise DomainError("lambda/m - lambda*/n must be an integer "
-                              "on a type (b) line")
-        d = lm.denominator
-        if ln.denominator != d or (surface.m + surface.n) % d != 0:
-            raise DomainError("d must be the common reduced denominator "
-                              "and divide m+n")
-        mu = surface.m % d
-        return cls(surface, lam, d, mu)
+        d = _condition2_d(surface, LambdaPair.from_lambda(lam))
+        if d is None:
+            raise DomainError("not a type (b) line: lambda/m - lambda*/n must be "
+                              "an integer with common reduced denominator d | m+n")
+        return cls(surface, lam, d, surface.m % d)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +111,8 @@ def theta_logderiv_series(a: float, x: complex, *, eps: float = 1e-16) -> comple
     x = complex(x)
     if x == 0:
         raise DomainError("argument must be nonzero")
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        raise DomainError(f"argument must be finite, got {x}")
     T = -math.log(a)
     lnx = cmath.log(x)
     sigma = -1.0 if lnx.imag > 0.0 else 1.0
@@ -283,6 +268,11 @@ def f_series(ctx: EllipticContext, params: PoissonParams, x: complex) -> complex
     if isinstance(params, PoissonParamsA):
         return f_type_a_series(ctx, params, x)
     return f_type_b_series(ctx, params, x)
+
+
+def _half_index_range(k: int) -> list[Fraction]:
+    # (1-k)/2, (3-k)/2, ..., (k-1)/2 in integer steps
+    return [Fraction(1 - k, 2) + r for r in range(k)]
 
 
 def f_kk(ctx: EllipticContext, params: PoissonParams, k: int, kp: int,

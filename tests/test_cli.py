@@ -386,3 +386,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert reason in err
         assert "invalid" not in err
+
+
+class TestUsageErrors:
+    POISSON = ["poisson", "--surface", "1,2", "--lambda", "1/3"]
+
+    @pytest.mark.parametrize("grid,reason", [
+        ("inf,1.25,2", "argument --grid: grid radii must be finite and nonzero, got inf"),
+        ("nan,1.25,2", "argument --grid: grid radii must be finite and nonzero, got nan"),
+        ("0.8,0,2", "argument --grid: grid radii must be finite and nonzero, got 0.0"),
+    ], ids=["inf", "nan", "zero"])
+    def test_non_finite_or_zero_radius(self, capsys, grid, reason):
+        assert main(self.POISSON + [f"--grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert reason in captured.err
+
+    def test_overflowing_radius(self, capsys):
+        # x^2 overflows to inf: a domain error, not a NaN row
+        assert main(self.POISSON + ["--grid=1e200,1.25,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument must be finite" in captured.err
+        assert "math domain error" not in captured.err
+
+    @pytest.mark.parametrize("kk", ["a,b", "1", "1,2,3"])
+    def test_kk_needs_two_integers(self, capsys, kk):
+        assert main(self.POISSON + [f"--kk={kk}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument --kk: multi-index must be two integers 'k,kp', "
+                f"got '{kk}'") in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--surface", "1,2", "--lambda", "1/3"],
+        ["intersect", "--s1", "3,6", "--s2", "2,5"],
+        ["enumerate-lines", "--surface", "2,2"],
+        ["surfaces-through", "--s1", "3,6", "--s2", "2,5"],
+        ["scan", "--box=1"],
+        ["verify-y", "--surface", "1,2", "--lambda", "1/3"],
+        ["verify-super", "--m", "3", "--lambda", "2"],
+        ["poisson", "--surface", "1,2", "--lambda", "1/3"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("N", ["-4", "1"])
+    def test_rank_below_two(self, capsys, argv, N):
+        assert main(argv + [f"--N={N}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --N: N must be >= 2, got {N}" in captured.err
+
+    def test_rank_two_accepted(self, capsys):
+        rc, out = run(capsys, "classify", "--surface", "1,2", "--lambda", "1/3",
+                      "--N=2")
+        assert rc == 0 and json.loads(out)["N"] == 2

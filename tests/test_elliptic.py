@@ -21,9 +21,7 @@ from abelianity import (
     PoleError,
     Surface,
     admissible_half_nome_roots,
-    calF,
     centrality_ratio,
-    exchange_factor,
     exchange_plan,
     theta,
     ufunc,
@@ -53,6 +51,40 @@ def u_reference(ctx, a, z):
     num = theta(a, q2 * w) * theta(a, q2 / w)
     den = theta(a, w) * theta(a, 1 / w)
     return ctx.q ** (2.0 / ctx.N - 2.0) * num / den
+
+
+def calF(ctx, s_exponent, a, x):
+    """Shift product F_a(x) with half-nome s = q^{N * s_exponent} (reference):
+
+        prod_{l=0}^{a-1} U(s^l x)        for a > 0,
+        1                                 for a = 0,
+        prod_{l=1}^{|a|} U(s^{-l} x)^-1   for a < 0.
+    """
+    if a == 0:
+        return 1.0 + 0.0j
+    s = ctx.q ** (ctx.N * float(s_exponent))
+    val = 1.0 + 0.0j
+    if a > 0:
+        for ell in range(a):
+            val *= ufunc(ctx, s ** ell * x)
+    else:
+        for ell in range(1, -a + 1):
+            val /= ufunc(ctx, s ** (-ell) * x)
+    return val
+
+
+def exchange_factor(ctx, s, lam, k, kp, x, *, half_nome=None):
+    """Exchange factor between rank-k and rank-k' generators (reference):
+    prod over i, j of Y(q^{i-j} x), with i and j running over the
+    half-integer ranges (1-k)/2, ..., (k-1)/2 and (1-k')/2, ..., (k'-1)/2."""
+    if not (1 <= k <= ctx.N and 1 <= kp <= ctx.N):
+        raise DomainError(f"k, k' must lie in 1..N={ctx.N}")
+    plan = exchange_plan(ctx, s, lam, half_nome=half_nome)
+    val = 1.0 + 0.0j
+    for i in range(k):
+        for j in range(kp):
+            val *= plan(ctx.q ** ((kp - k) / 2 + i - j) * x)
+    return val
 
 
 class TestTheta:

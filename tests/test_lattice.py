@@ -9,7 +9,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from abelianity import (
     ConstructionFailedError,
@@ -18,12 +18,9 @@ from abelianity import (
     NoIntersectionError,
     Surface,
     Verdict,
-    anchor_realization,
-    bezout_realizations,
     LineParams,
     classify_intersection,
     classify_lambda,
-    cross_cancellation_realizations,
     intersect_surfaces,
     intersection_sides,
     lambda_of_intersection,
@@ -32,6 +29,7 @@ from abelianity import (
     super_abelianity_check,
     surfaces_through_line,
 )
+from abelianity.lattice import _bezout_min_second, _condition2_d
 
 surfaces = st.tuples(st.integers(-8, 8), st.integers(-8, 8)) \
     .filter(lambda t: t != (0, 0)).map(lambda t: Surface(*t))
@@ -51,6 +49,80 @@ def raw_condition2(s: Surface, lam: F):
     if d == 1 or ln.denominator != d or (s.m + s.n) % d != 0:
         return None
     return d
+
+
+# ---------------------------------------------------------------------------
+# reference realization constructions: closed-form sub-families of the
+# lattice line that realize_line_as_intersections walks
+# ---------------------------------------------------------------------------
+
+def _realizes(s: Surface, cand: Surface, lam: LambdaPair) -> bool:
+    try:
+        return lambda_of_intersection(s, cand) == lam
+    except (NoIntersectionError, DegenerateParametrizationError):
+        return False
+
+
+def bezout_realizations(s: Surface, lam: LambdaPair, k_values):
+    """Integer-lambda realization family m' = m(l0 + k lam*), n' = n(l0' - k lam)
+    with l0 lam + l0' lam* = 1.  Yields only verified candidates; k values
+    hitting the degenerate member (the surface s itself, or a zero
+    determinant) are skipped.
+    """
+    lam_i, lams_i = lam.lam, lam.lam_star
+    if lam_i.denominator != 1 or lams_i.denominator != 1 or lam_i == 0 or lams_i == 0:
+        raise ConstructionFailedError("requires non-vanishing integer lambda")
+    lam_i, lams_i = int(lam_i), int(lams_i)
+    l0, l0p = _bezout_min_second(lam_i, lams_i)
+    for k in k_values:
+        ell, ellp = l0 + k * lams_i, l0p - k * lam_i
+        mp, np_ = s.m * ell, s.n * ellp
+        if mp == 0 and np_ == 0:
+            continue
+        cand = Surface(mp, np_)
+        if _realizes(s, cand, lam):
+            yield cand
+
+
+def cross_cancellation_realizations(s: Surface, lam: LambdaPair, u_values):
+    """Condition-2 realization family m' = m - (b/g)u, n' = n + (a/g)u where
+    lambda/m = a/d, lambda*/n = b/d in lowest terms and g = gcd(a, b)."""
+    d = _condition2_d(s, lam)
+    if d is None:
+        raise ConstructionFailedError("line does not satisfy condition 2")
+    a, _, b, _ = lam.over(s.m, s.n)
+    gab = math.gcd(a, b)
+    for u in u_values:
+        if u == 0:
+            continue
+        cand = Surface(s.m - (b // gab) * u, s.n + (a // gab) * u)
+        if _realizes(s, cand, lam):
+            yield cand
+
+
+def anchor_realization(s: Surface, lam: LambdaPair) -> tuple[Surface, bool]:
+    """Single verified anchor surface for a generic rational lambda.
+
+    Tries m' = (a+1)m + d, n' = (a+1)n first (with lambda/m = a/d in lowest
+    terms); direct substitution shows that variant lands on -a/d, so on
+    verification failure the sign-corrected m' = (1-a)m + d, n' = (1-a)n is
+    used.  Returns (surface, used_sign_corrected).  Raises
+    ConstructionFailedError when neither candidate verifies.
+    """
+    if s.m == 0 or s.n == 0:
+        raise DegenerateParametrizationError(f"{s} has no lambda coordinate")
+    a, d, _, _ = lam.over(s.m, s.n)
+    for corrected, (mp, np_) in (
+        (False, ((a + 1) * s.m + d, (a + 1) * s.n)),
+        (True, ((1 - a) * s.m + d, (1 - a) * s.n)),
+    ):
+        if mp == 0 and np_ == 0:
+            continue
+        cand = Surface(mp, np_)
+        if _realizes(s, cand, lam):
+            return cand, corrected
+    raise ConstructionFailedError(
+        f"no anchor realization for lambda={lam.lam} on {s}")
 
 
 class TestIntersect:
@@ -542,3 +614,44 @@ class TestRealizationConstructions:
         cand = Surface((a + 1) * s.m + d, (a + 1) * s.n)
         got = lambda_of_intersection(s, cand)
         assert got.lam / s.m == -frac  # sign flip, hence the gate
+
+
+@st.composite
+def abelian_lines(draw):
+    """An abelian line (s, lam) with |m|, |n| <= 8, m, n != 0 and lam not in
+    {0, 1}: an integer lambda or a member of a cross-cancellation family."""
+    s = Surface(draw(st.integers(-8, 8).filter(bool)),
+                draw(st.integers(-8, 8).filter(bool)))
+    lams = [F(v) for v in range(-9, 10) if v not in (0, 1)]
+    if s.m + s.n != 0:
+        lams += [fam.lambda_pair(k).lam for fam in solve_condition2(s)
+                 for k in range(-2, 3)]
+    lam = LambdaPair.from_lambda(draw(st.sampled_from(lams)))
+    assume(lam.lam not in (0, 1) and classify_lambda(s, lam).is_abelian)
+    return s, lam
+
+
+class TestReferenceConstructionsOnWalk:
+    @given(abelian_lines())
+    @settings(max_examples=300)
+    def test_constructions_lie_on_the_walked_line(self, line):
+        s, lam = line
+        walked = realize_line_as_intersections(s, lam, 3)
+        dm, dn = walked[0].m - s.m, walked[0].n - s.n
+        for i, w in enumerate(walked, 1):
+            assert (w.m - s.m, w.n - s.n) == (i * dm, i * dn)
+        refs = [anchor_realization(s, lam)[0]]
+        if lam.lam.denominator == 1:
+            ks = range(-3, 4)
+            got = list(bezout_realizations(s, lam, ks))
+            assert len(got) >= len(ks) - 1  # only s itself is skipped
+            refs += got
+        if _condition2_d(s, lam) is not None:
+            us = [u for u in range(-3, 4) if u]
+            got = list(cross_cancellation_realizations(s, lam, us))
+            assert len(got) == len(us)
+            refs += got
+        for w in refs:
+            # collinear with the walk's step through s, and realizing lam
+            assert (w.m - s.m) * dn == (w.n - s.n) * dm
+            assert lambda_of_intersection(s, w) == lam

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelianity import (
+    DegenerateParametrizationError,
     ExponentMultiset,
     LambdaPair,
     Surface,
@@ -15,10 +16,32 @@ from abelianity import (
     cycle_collapses,
     exchange_exponents,
     is_abelian,
-    reduced_form,
     super_abelianity_check,
 )
-from abelianity.oracle import _exchange_lists
+from abelianity.oracle import _cycle_remainder, _exchange_lists
+
+
+def reduced_form(s, lam):
+    """Step-1 reduced products after stripping full q^N-cycles (reference).
+
+    With lambda/m = a/d, lambda*/n = b/d' in lowest terms, |m| = d s + mu,
+    |n| = d' s' + mu' and mubar = min(mu, d - mu):
+      numerator:   {a j/d : j=1..mubar}  u  {b j'/d' : j'=d'-mubar'+1..d'-1}
+      denominator: {a j/d : j=d-mubar+1..d-1}  u  {b j'/d' : j'=1..mubar'}
+    (`_cycle_remainder` on each product pair).  Degenerates to empty lists
+    for integer lambda, where the residue-0 terms of the two pairs cancel.
+    Exponents are reduced mod 1; after cross-cancellation the lists
+    reproduce exchange_exponents.
+    """
+    if s.m == 0 or s.n == 0:
+        raise DegenerateParametrizationError(f"{s} has no lambda coordinate")
+    if lam.lam.denominator == 1:
+        return [], []  # integer-lambda shortcut: everything cancels in step 1
+    a, d, b, dp = lam.over(s.m, s.n)
+    num_m, den_m = _cycle_remainder(d, abs(s.m))
+    den_n, num_n = _cycle_remainder(dp, abs(s.n))
+    return ([F(a * j % d, d) for j in num_m] + [F(b * j % dp, dp) for j in num_n],
+            [F(a * j % d, d) for j in den_m] + [F(b * j % dp, dp) for j in den_n])
 
 
 class TestExchangeExponents:

@@ -120,6 +120,12 @@ class TestThetaLogDerivative:
         with pytest.raises(DomainError):
             theta_logderiv_series(1.2, 0.5)
 
+    @pytest.mark.parametrize("x", [complex(math.inf, 0), complex(1, math.nan),
+                                   (1e200 + 0j) * (1e200 + 0j)])
+    def test_non_finite_argument(self, x):
+        with pytest.raises(DomainError):
+            theta_logderiv_series(0.3, x)
+
     def test_reference_refuses_partial_sums(self):
         with pytest.raises(AssertionError):
             reference_logderiv(0.999, 1.3)
@@ -203,6 +209,38 @@ class TestParams:
     def test_type_b_witnesses(self):
         assert (PB.d, PB.mu) == (3, 1)
         assert (PB2.d, PB2.mu) == (3, 2)
+
+    def test_type_a_matches_gcd_definition(self):
+        # w = gcd(lambda, m) with the sign of m, l = m/w the reduced
+        # denominator of lambda/m (likewise w*, l* for lambda*, n)
+        for m in range(-7, 8):
+            for n in range(-7, 8):
+                for lam in range(-6, 7):
+                    if m == 0 or n == 0 or lam in (0, 1):
+                        continue
+                    p = PoissonParamsA.from_line(Surface(m, n), lam)
+                    w = math.copysign(math.gcd(lam, m), m)
+                    w_star = math.copysign(math.gcd(1 - lam, n), n)
+                    assert (p.w, p.w_star) == (w, w_star)
+                    assert p.ell == F(lam, m).denominator == m // w
+                    assert p.ell_star == F(1 - lam, n).denominator == n // w_star
+
+    def test_type_b_matches_raw_condition(self):
+        for m in range(-7, 8):
+            for n in range(-7, 8):
+                for lam in {F(a, b) for a in range(-12, 13) for b in range(1, 7)}:
+                    if m == 0 or n == 0:
+                        continue
+                    lm, ln = lam / m, (1 - lam) / n
+                    d = lm.denominator
+                    ok = ((lm - ln).denominator == 1 and ln.denominator == d
+                          and (m + n) % d == 0)
+                    if not ok:
+                        with pytest.raises(DomainError):
+                            PoissonParamsB.from_line(Surface(m, n), lam)
+                        continue
+                    p = PoissonParamsB.from_line(Surface(m, n), lam)
+                    assert (p.d, p.mu) == (d, m % d)
 
     def test_type_b_rejects_off_line(self):
         with pytest.raises(DomainError):
