@@ -41,7 +41,6 @@ from .elliptic import (
     DomainError,
     EllipticContext,
     PoleError,
-    admissible_half_nome_roots,
     centrality_plan,
     centrality_ratio,
     exchange_plan,

@@ -8,10 +8,10 @@ defines the block
 which is symmetric under z -> 1/z, depends on z^2 only, and (for the
 structure nome a = q^{2N}) is q^N-periodic in z.
 
-U is not evaluated from that product.  With L = ln(1/q) and T = ln(1/a),
-the Jacobi imaginary transformation (DLMF 20.7) cancels every Gaussian
-factor and constant of the four thetas and leaves a ratio in the dual nome
-rho = exp(-4 pi^2 / T):
+U and the theta log-derivative D_a of the Poisson routes are evaluated in
+the dual nome rho = exp(-4 pi^2 / T) of T = ln(1/a), by one Jacobi
+imaginary transformation (DLMF 20.7), `_DualNome`.  With L = ln(1/q) it
+cancels every Gaussian factor and constant of the four thetas of U:
 
     U_a(z) = q^{2/N} e^{4L^2/T}
              theta_rho(omega Y) theta_rho(omega^-1 Y) / theta_rho(Y)^2,
@@ -31,8 +31,10 @@ e^{2 pi i / N} and the constant is exactly 1.
   telescoping product over Y -> omega^-1 Y.
 * Poles sit at Y in rho^Z and zeros at omega^{+-1} Y in rho^Z, i.e. Y near
   1, omega^-1 or omega in the reduced annulus.  A pole at
-  z^2 = a^k (1 + delta) sits at |Y - 1| ~ 2 pi |delta| / T.
-* rho is tiny exactly where a is close to 1, so the products are short.
+  z^2 = a^k (1 + delta) sits at |Y - 1| ~ 2 pi |delta| / T; PoleError is
+  raised for |delta| below POLE_DISTANCE.
+* rho is tiny exactly where a is close to 1, so the products, truncated at
+  TRUNCATION, are short.  A value outside float range raises DomainError.
 """
 
 from __future__ import annotations
@@ -54,29 +56,24 @@ class PoleError(ArithmeticError):
     """Evaluation point is within tolerance of a zero or pole of the result."""
 
 
+TRUNCATION = 1e-16  # theta products and Lambert sums drop tails below this
+POLE_DISTANCE = 1e-9  # PoleError for |delta| below this at w = a^k (1 + delta)
+
+
 @dataclass(frozen=True)
 class EllipticContext:
-    """Numeric evaluation environment.
-
-    eps_trunc bounds the dropped tail of every theta product: `theta` stops
-    its q-Pochhammer products once the tail factors are within eps_trunc of
-    1, and U keeps the dual-nome factors whose distance from 1 can reach
-    eps_trunc.  tol is the tolerance used both for identity checks and for
-    declaring a point pole-adjacent.
-    """
+    """Numeric evaluation environment: the rank N >= 2 and the deformation
+    parameter q in (0,1).  Truncation and pole distance are the module
+    constants TRUNCATION and POLE_DISTANCE."""
 
     N: int
     q: float
-    eps_trunc: float = 1e-16
-    tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.N < 2:
             raise DomainError(f"N must be >= 2, got {self.N}")
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must lie in (0,1), got {self.q}")
-        if self.eps_trunc <= 0 or self.tol <= 0:
-            raise DomainError("eps_trunc and tol must be positive")
 
     @property
     def nome(self) -> float:
@@ -87,13 +84,13 @@ def _finite(v: complex) -> bool:
     return math.isfinite(v.real) and math.isfinite(v.imag)
 
 
-def theta(a: float, z: complex, *, eps: float = 1e-16) -> complex:
+def theta(a: float, z: complex) -> complex:
     """Short Jacobi theta theta_a(z) = (z;a)_inf (a/z;a)_inf.
 
     The argument is first reduced into the annulus a <= |z| < 1 with the
     exact quasi-periodicity theta_a(a^k z) = (-1)^k a^{-k(k-1)/2} z^{-k}
-    theta_a(z), then the products are truncated once the tail factors are
-    within eps of 1.  Raises DomainError when the value leaves float range.
+    theta_a(z), then the products stop once the tail factors are within
+    TRUNCATION of 1.  Raises DomainError when the value leaves float range.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"nome must lie in (0,1), got {a}")
@@ -108,7 +105,7 @@ def theta(a: float, z: complex, *, eps: float = 1e-16) -> complex:
     except OverflowError as exc:
         raise DomainError(f"theta_{a}({z}) lies outside float range") from exc
 
-    n_max = max(1, math.ceil(math.log(eps) / lna))
+    n_max = max(1, math.ceil(math.log(TRUNCATION) / lna))
     prod = 1.0 + 0.0j
     an = 1.0
     for _ in range(n_max + 1):
@@ -121,36 +118,46 @@ def theta(a: float, z: complex, *, eps: float = 1e-16) -> complex:
 
 
 class _DualNome:
-    """Constants of U_a in the dual nome for one (q, N, a).
+    """The dual nome of a = e^-T, built from T and never from a.
 
-    `a=None` is the structure nome q^{2N}: T = 2NL exactly, omega is the
-    N-th root of unity and the constant is 1.  `powers` holds rho^j for the
-    factor pairs (1 - rho^j y)(1 - rho^j / y), j = 1..n-1, that follow the
-    leading (1 - y) of theta_rho(y); n is the least with
-    rho^{n-1/2} < eps_trunc, and no pair is needed when rho underflows.
+    A point w (z^2 for U) has the dual coordinate Y = exp(i scale ln w),
+    scale = 2 pi/T.  `powers` holds rho^j for the factor pairs
+    (1 - rho^j y)(1 - rho^j / y), j = 1..n-1, that follow the leading
+    (1 - y) of theta_rho(y); n is the least with rho^{n-1/2} < TRUNCATION,
+    and no pair is needed once rho underflows.  Two evaluations share them:
+    `ratio`, the theta ratio of U (constants from `for_u`), and `logderiv`.
     """
 
-    __slots__ = ("scale", "omega", "omega_inv", "powers", "pole_tol", "log_const")
+    __slots__ = ("T", "scale", "powers", "pole_tol", "omega", "omega_inv",
+                 "log_const")
 
-    def __init__(self, ctx: EllipticContext, a: float | None = None) -> None:
+    def __init__(self, T: float) -> None:
+        self.T = T
+        self.scale = 2.0 * math.pi / T
+        log_rho = -2.0 * math.pi * self.scale
+        rho = math.exp(log_rho)
+        n = math.floor(math.log(TRUNCATION) / log_rho + 0.5) + 1 if rho > 0.0 else 1
+        self.powers = [rho ** j for j in range(1, n)]
+        self.pole_tol = POLE_DISTANCE * self.scale
+
+    @classmethod
+    def for_u(cls, ctx: EllipticContext, a: float | None = None) -> "_DualNome":
+        """The dual of U_a for one (q, N, a); `a=None` is the structure nome
+        q^{2N} (T = 2NL, omega = e^{2 pi i/N}, constant 1)."""
         if a is not None and not 0.0 < a < 1.0:
             raise DomainError(f"nome must lie in (0,1), got {a}")
         L = -math.log(ctx.q)
         if a is None:
-            T = 2 * ctx.N * L
-            self.omega = cmath.exp(2j * math.pi / ctx.N)
-            self.log_const = 0.0
+            dual = cls(2 * ctx.N * L)
+            dual.omega = cmath.exp(2j * math.pi / ctx.N)
+            dual.log_const = 0.0
         else:
             T = -math.log(a)
-            self.omega = cmath.exp(4j * math.pi * L / T)
-            self.log_const = 4.0 * L * L / T - 2.0 * L / ctx.N
-        self.omega_inv = self.omega.conjugate()
-        self.scale = 2.0 * math.pi / T  # Y = exp(i * scale * ln z^2)
-        log_rho = -2.0 * math.pi * self.scale
-        rho = math.exp(log_rho)
-        n = math.floor(math.log(ctx.eps_trunc) / log_rho + 0.5) + 1 if rho > 0.0 else 1
-        self.powers = [rho ** j for j in range(1, n)]
-        self.pole_tol = 10.0 * ctx.tol * self.scale
+            dual = cls(T)
+            dual.omega = cmath.exp(4j * math.pi * L / T)
+            dual.log_const = 4.0 * L * L / T - 2.0 * L / ctx.N
+        dual.omega_inv = dual.omega.conjugate()
+        return dual
 
     def angles(self, z: complex) -> tuple[float, float]:
         """(arg z^2, angle of Y): the modulus of Y is exp(-scale arg z^2)."""
@@ -182,8 +189,8 @@ class _DualNome:
 
     def ratio(self, y: complex) -> complex:
         """theta_rho(omega y) theta_rho(y / omega) / theta_rho(y)^2 for
-        sqrt(rho) <= |y| <= 1; pairs are grouped so that the value at
-        conj(y) is the conjugate of the value at y."""
+        sqrt(rho) <= |y| <= 1, or DomainError outside float range; pairs are
+        grouped so that the value at conj(y) is the conjugate of that at y."""
         wy = self.omega * y
         vy = self.omega_inv * y
         num = (1.0 - wy) * (1.0 - vy)
@@ -195,7 +202,42 @@ class _DualNome:
             for p in self.powers:
                 num *= (1.0 - p * wy) * (1.0 - p * vy) * ((1.0 - p * iwy) * (1.0 - p * ivy))
                 den *= (1.0 - p * y) * (1.0 - p * iy)
-        return num / (den * den)
+        try:
+            val = num / (den * den)
+        except ZeroDivisionError:  # den underflowed away from any pole
+            val = 0j
+        if val == 0 or not _finite(val):
+            raise DomainError("U value lies outside float range")
+        return val
+
+    def logderiv(self, x: complex) -> complex:
+        """D_a(x) = -x d/dx ln theta_a(x), summed in the dual nome:
+
+            D_a(x) = -1/2 - ln(x)/T - (i pi/T) sigma (1 + 2 D_rho(X)),
+
+        with the principal ln, X the reduced dual coordinate of 1/x and
+        sigma = -1 when that was inverted, else +1.  PoleError within
+        POLE_DISTANCE of a zero of theta_a."""
+        x = complex(x)
+        if x == 0 or not _finite(x):
+            raise DomainError(f"argument must be finite and nonzero, got {x}")
+        lnx = cmath.log(x)
+        X, inverted = self.reduce(-lnx.imag, -self.scale * lnx.real)
+        # 1 - X without cancellation, from X = exp(-scale |arg x| + i im)
+        im = cmath.phase(X)
+        gap = complex(2.0 * math.sin(0.5 * im) ** 2
+                      - math.expm1(-self.scale * abs(lnx.imag)) * math.cos(im),
+                      -X.imag)
+        if abs(gap) < self.pole_tol:
+            raise PoleError(f"series pole: x within {POLE_DISTANCE:g} of a power "
+                            f"of a (x={x})")
+        total = (1.0 + X) / gap   # 1 + 2 X/(1 - X)
+        if self.powers:
+            iX = 1.0 / X
+            for r in self.powers:
+                total += 2.0 * (X * r / (1.0 - X * r) - iX * r / (1.0 - iX * r))
+        sigma = -1.0 if inverted else 1.0
+        return -0.5 - lnx / self.T - 1j * math.pi * sigma * total / self.T
 
     def scaled(self, v: complex) -> complex:
         """Multiply by the constant q^{2/N} e^{4L^2/T} in log form."""
@@ -224,7 +266,7 @@ def u_zero_pole_adjacent(ctx: EllipticContext, a: float, z: complex) -> bool:
 
     Poles: z^2 or z^-2 on the lattice a^Z; zeros: q^2 z^{+-2} on it.
     """
-    dual = _DualNome(ctx, a)
+    dual = _DualNome.for_u(ctx, a)
     y, _ = dual.reduce(*dual.angles(z))
     return dual.adjacent(y)
 
@@ -245,12 +287,12 @@ def ufunc_a(ctx: EllipticContext, a: float, z: complex) -> complex:
     Raises PoleError within tolerance of a pole and DomainError when the
     value lies outside float range.
     """
-    return _ufunc(_DualNome(ctx, a), z)
+    return _ufunc(_DualNome.for_u(ctx, a), z)
 
 
 def ufunc(ctx: EllipticContext, z: complex) -> complex:
-    """The structure-function block U(z), nome q^{2N}."""
-    return _ufunc(_DualNome(ctx), z)
+    """The structure-function block U(z), nome q^{2N}; raises like `ufunc_a`."""
+    return _ufunc(_DualNome.for_u(ctx), z)
 
 
 class ShiftPlan:
@@ -260,7 +302,7 @@ class ShiftPlan:
     e^{-2 pi i t} of the dual coordinate, so evaluating a point does no
     rational arithmetic.  Every distinct exponent is tested for an adjacent
     zero or pole, cancelling ones included, and factors are applied in list
-    order.
+    order.  A value outside float range raises DomainError.
 
     `phase` c makes the argument of factor t carry the extra factor
     e^{pi i c t} (a multiplier e^{2 pi i c t} on z^2): the non-principal
@@ -270,7 +312,7 @@ class ShiftPlan:
 
     def __init__(self, ctx: EllipticContext, numerator, denominator,
                  *, phase: int = 0) -> None:
-        self._dual = _DualNome(ctx)
+        self._dual = _DualNome.for_u(ctx)
         slots: dict[Fraction, int] = {}
 
         def slot(t: Fraction) -> int:
@@ -310,16 +352,10 @@ class ShiftPlan:
             val *= vals[i]
         for i in self._den:
             val /= vals[i]
+        # no factor sits at a zero: 0 is an underflow as inf is an overflow
+        if val == 0 or not _finite(val):
+            raise DomainError(f"exchange value at x={x} lies outside float range")
         return val
-
-
-def admissible_half_nome_roots(ctx: EllipticContext, n: int) -> list[complex]:
-    """The |n| complex solutions of s^n = q^{-N} (free half-nome on S_{0,n})."""
-    if n == 0:
-        raise DomainError("n must be nonzero")
-    base = ctx.q ** (-ctx.N / n)
-    k = abs(n)
-    return [base * cmath.exp(2j * cmath.pi * j / k) for j in range(k)]
 
 
 def exchange_plan(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,

@@ -8,9 +8,12 @@ type and must agree:
   * the compact route assembles -N lambda ln(q) x d/dx of a weighted sum of
     log U_a factors analytically from the theta log-derivative series;
   * the series route evaluates the explicit double sums
-    f = -2 N lambda ln(q) (2 I(x) - I(qx) - I(x/q)), with each Lambert pair
-    of I summed in its dual nome by `theta_logderiv_series`, so the cost
-    stays bounded as q -> 1.
+    f = -2 N lambda ln(q) (2 I(x) - I(qx) - I(x/q)).
+
+Both sum every Lambert pair D_a in its dual nome with the kernel of
+`elliptic`, so the cost stays bounded as q -> 1.  A nome a = q^{2N/l} is
+never formed as a float but taken as T = ln(1/a) = 2N ln(1/q)/l, so it
+cannot underflow for small q.
 
 Type (a) covers non-vanishing integer lambda (weights m/l, n/l* with l, l*
 the reduced denominators of lambda/m, lambda*/n); type (b) covers the
@@ -21,12 +24,11 @@ apply and must coincide.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import DomainError, EllipticContext, PoleError
+from .elliptic import DomainError, EllipticContext, PoleError, _DualNome
 from .lattice import LambdaPair, Surface, _condition2_d
 
 
@@ -87,71 +89,37 @@ class PoissonParamsB:
 # series primitives
 # ---------------------------------------------------------------------------
 
-def theta_logderiv_series(a: float, x: complex, *, eps: float = 1e-16) -> complex:
+def theta_logderiv_series(a: float, x: complex) -> complex:
     """-x d/dx ln theta_a(x), the Lambert-type pair
 
         D_a(x) = sum_{s>=0} x a^s/(1 - x a^s) - sum_{s>=1} x^-1 a^s/(1 - x^-1 a^s),
 
-    summed in the dual nome rho = exp(-4 pi^2/T), T = ln(1/a) (Jacobi
-    imaginary transformation, DLMF 20.7):
-
-        D_a(x) = -1/2 - ln(x)/T - (i pi/T) sigma (1 + 2 D_rho(X)),
-        X = exp(-2 pi i sigma ln(x)/T),
-
-    with the principal ln and sigma = -1 when Im ln x > 0, else +1, so that
-    sqrt(rho) <= |X| <= 1.  D_rho keeps its pairs up to the least n with
-    rho^(n-1/2) < eps: the cost stays bounded as a -> 1 (one term once rho
-    underflows) and no sum is cut short.  A zero x = a^k (1 + delta) of
-    theta_a sits at |X - 1| ~ 2 pi |delta|/T; PoleError is raised for
-    |X - 1| < 2 pi 1e-9/T, i.e. |delta| below about 1e-9.  Satisfies
+    summed in the dual nome of a (`elliptic._DualNome.logderiv`): the cost
+    stays bounded as a -> 1 and no sum is cut short.  PoleError within
+    `elliptic.POLE_DISTANCE` of a zero x = a^k of theta_a.  Satisfies
     value(a,x) + value(a,1/x) = -1.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"nome must lie in (0,1), got {a}")
-    x = complex(x)
-    if x == 0:
-        raise DomainError("argument must be nonzero")
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-        raise DomainError(f"argument must be finite, got {x}")
-    T = -math.log(a)
-    lnx = cmath.log(x)
-    sigma = -1.0 if lnx.imag > 0.0 else 1.0
-    # X = exp(re + i im), re <= 0; gap = 1 - X stays accurate near X = 1
-    re = 2.0 * math.pi * sigma * lnx.imag / T
-    im = -2.0 * math.pi * sigma * lnx.real / T
-    mod = math.exp(re)
-    X = complex(mod * math.cos(im), mod * math.sin(im))
-    gap = complex(2.0 * math.sin(0.5 * im) ** 2 - math.expm1(re) * math.cos(im),
-                  -X.imag)
-    if abs(gap) < 2e-9 * math.pi / T:
-        raise PoleError(f"series pole: x within 1e-9 of a power of a (x={x})")
-    log_rho = -4.0 * math.pi * math.pi / T
-    rho = math.exp(log_rho)
-    n = math.floor(math.log(eps) / log_rho + 0.5) + 1 if rho > 0.0 else 1
-    total = (1.0 + X) / gap   # 1 + 2 X/(1 - X)
-    if n > 1:
-        iX = 1.0 / X
-        r = 1.0
-        for _ in range(1, n):
-            r *= rho
-            total += 2.0 * (X * r / (1.0 - X * r) - iX * r / (1.0 - iX * r))
-    return -0.5 - lnx / T - 1j * math.pi * sigma * total / T
+    return _DualNome(-math.log(a)).logderiv(x)
 
 
-def _u_logderiv(ctx: EllipticContext, a: float, x: complex) -> complex:
+def _nome(ctx: EllipticContext, ell: int) -> _DualNome:
+    """The nome q^{2N/ell}, taken as T = 2N ln(1/q)/ell."""
+    return _DualNome(-2.0 * ctx.N * math.log(ctx.q) / ell)
+
+
+def _u_logderiv(ctx: EllipticContext, nome: _DualNome, x: complex) -> complex:
     """x d/dx ln U_a(x), assembled analytically.
 
     Chain rule through the squared arguments gives the factor +-2:
       x d/dx ln theta_a(c x^2)  = -2 D_a(c x^2),
-      x d/dx ln theta_a(c x^-2) = +2 D_a(c x^-2),
-    with D_a = theta_logderiv_series.
+      x d/dx ln theta_a(c x^-2) = +2 D_a(c x^-2).
     """
     q2 = ctx.q * ctx.q
     x2 = x * x
-    eps = ctx.eps_trunc
-    D = theta_logderiv_series
-    return 2.0 * (D(a, x2, eps=eps) - D(a, q2 * x2, eps=eps)
-                  + D(a, q2 / x2, eps=eps) - D(a, 1.0 / x2, eps=eps))
+    D = nome.logderiv
+    return 2.0 * (D(x2) - D(q2 * x2) + D(q2 / x2) - D(1.0 / x2))
 
 
 def _second_difference(fn, ctx: EllipticContext, x: complex) -> complex:
@@ -168,8 +136,7 @@ def f_type_a(ctx: EllipticContext, params: PoissonParamsA, x: complex) -> comple
     f(x) = -N lambda ln(q) x d/dx [ (m/l) ln U_{q^{2N/l}}(x)
                                   + (n/l*) ln U_{q^{2N/l*}}(x) ].
     """
-    a1 = ctx.q ** (2.0 * ctx.N / params.ell)
-    a2 = ctx.q ** (2.0 * ctx.N / params.ell_star)
+    a1, a2 = _nome(ctx, params.ell), _nome(ctx, params.ell_star)
     bracket = (params.surface.m / params.ell) * _u_logderiv(ctx, a1, x) \
         + (params.surface.n / params.ell_star) * _u_logderiv(ctx, a2, x)
     return -ctx.N * params.lam * math.log(ctx.q) * bracket
@@ -179,15 +146,12 @@ def f_type_a_series(ctx: EllipticContext, params: PoissonParamsA,
                     x: complex) -> complex:
     """Series form, type (a): f = -2 N lambda ln(q) (2I(x) - I(qx) - I(x/q))
     with I(x) the weighted pair of Lambert sums in x^2."""
-    a1 = ctx.q ** (2.0 * ctx.N / params.ell)
-    a2 = ctx.q ** (2.0 * ctx.N / params.ell_star)
-    eps = ctx.eps_trunc
-    D = theta_logderiv_series
+    D1, D2 = _nome(ctx, params.ell).logderiv, _nome(ctx, params.ell_star).logderiv
 
     def I(y: complex) -> complex:
         y2 = y * y
-        return (params.surface.m / params.ell) * D(a1, y2, eps=eps) \
-            + (params.surface.n / params.ell_star) * D(a2, y2, eps=eps)
+        return (params.surface.m / params.ell) * D1(y2) \
+            + (params.surface.n / params.ell_star) * D2(y2)
 
     return -2.0 * ctx.N * params.lam * math.log(ctx.q) \
         * _second_difference(I, ctx, x)
@@ -210,8 +174,7 @@ def f_type_b(ctx: EllipticContext, params: PoissonParamsB, x: complex) -> comple
     """
     m, n = params.surface.m, params.surface.n
     d, mu = params.d, params.mu
-    a_d = ctx.q ** (2.0 * ctx.N / d)
-    a_full = ctx.nome
+    a_d, a_full = _nome(ctx, d), _nome(ctx, 1)
     s = ctx.q ** (-ctx.N * float(params.lam / m))
 
     bracket = (1.0 + mu * mu / (m * n)) * _u_logderiv(ctx, a_d, x)
@@ -231,19 +194,16 @@ def f_type_b_series(ctx: EllipticContext, params: PoissonParamsB,
     f = -2 N lambda ln(q) ((m+n)/d) (2I(x) - I(qx) - I(x/q))."""
     m, n = params.surface.m, params.surface.n
     d, mu = params.d, params.mu
-    a_d = ctx.q ** (2.0 * ctx.N / d)
-    a_full = ctx.nome
-    eps = ctx.eps_trunc
+    D_d, D_full = _nome(ctx, d).logderiv, _nome(ctx, 1).logderiv
     p = ctx.q ** (-2.0 * ctx.N * float(params.lam / m))
-    D = theta_logderiv_series
 
     def I(y: complex) -> complex:
         y2 = y * y
-        total = (1.0 + mu * mu / (m * n)) * D(a_d, y2, eps=eps)
-        total += (d * mu / (m * n)) * D(a_full, y2, eps=eps)
+        total = (1.0 + mu * mu / (m * n)) * D_d(y2)
+        total += (d * mu / (m * n)) * D_full(y2)
         for k in range(mu):
             pk = p ** k
-            ksum = D(a_full, pk * y2, eps=eps) - D(a_full, pk / y2, eps=eps)
+            ksum = D_full(pk * y2) - D_full(pk / y2)
             total += (d / (m * n)) * (k - mu) * ksum
         return total
 

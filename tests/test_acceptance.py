@@ -156,7 +156,7 @@ def test_criterion_3_numeric_soundness_and_completeness(sweep):
 
 
 def test_criterion_4_whole_surface_and_witnesses():
-    from abelianity import admissible_half_nome_roots
+    from test_elliptic import admissible_half_nome_roots
     ctx = EllipticContext(N=N, q=0.6)
     roots = admissible_half_nome_roots(ctx, 3)
     combos = [(roots[0], 0.8 + 0.1j), (roots[1], 0.8 + 0.1j),

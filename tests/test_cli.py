@@ -1,5 +1,6 @@
 """CLI surface tests: exact JSON/CSV output, determinism, exit codes."""
 
+import cmath
 import hashlib
 import json
 import os
@@ -171,6 +172,16 @@ class TestVerify:
         assert rc == 1
         assert doc["points_evaluated"] == 0 and doc["consistent"] is False
 
+    @pytest.mark.parametrize("argv", [
+        ("--surface=2,1", "--lambda=2", "--q=1e-300"),
+        ("--surface=1,2", "--lambda=1/3", "--q=1e-250"),
+    ])
+    def test_value_outside_float_range_is_exit_2(self, capsys, argv):
+        # the exchange factors overflow; no deviation is computed from them
+        assert main(["verify-y", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outside float range" in captured.err
+
     def test_verify_y_non_abelian(self, capsys):
         rc, out = run(capsys, "verify-y", "--surface", "2,5", "--lambda=-2/3",
                       "--q", "0.6")
@@ -200,6 +211,22 @@ class TestPoissonCommand:
         rows_s = [r.split(",") for r in out_s.strip().split("\n")[1:]]
         for rc_, rs in zip(rows_c, rows_s):
             assert abs(float(rc_[2]) - float(rs[2])) < 1e-8
+
+    @pytest.mark.parametrize("surface", ["1,1", "7,1"])
+    def test_nome_below_float_range(self, capsys, surface):
+        # the nome q^6 = 1e-360 underflows; it is taken as T = 6 ln(1/q)
+        rows = {}
+        for route in ("compact", "series"):
+            rc, out = run(capsys, "poisson", f"--surface={surface}", "--lambda=2",
+                          "--q=1e-60", f"--route={route}")
+            assert rc == 0
+            rows[route] = [[float(v) for v in r.split(",")]
+                           for r in out.strip().split("\n")[1:]]
+        assert len(rows["compact"]) == 20
+        for c, s in zip(rows["compact"], rows["series"]):
+            assert c[:2] == s[:2]
+            fc, fs = complex(*c[2:]), complex(*s[2:])
+            assert cmath.isfinite(fc) and abs(fc - fs) <= 1e-8 * (1 + abs(fc))
 
     def test_off_line_rejected(self, capsys):
         rc, _ = run(capsys, "poisson", "--surface", "2,5", "--lambda=-2/3")

@@ -20,7 +20,6 @@ from abelianity import (
     LambdaPair,
     PoleError,
     Surface,
-    admissible_half_nome_roots,
     centrality_ratio,
     exchange_plan,
     theta,
@@ -51,6 +50,16 @@ def u_reference(ctx, a, z):
     num = theta(a, q2 * w) * theta(a, q2 / w)
     den = theta(a, w) * theta(a, 1 / w)
     return ctx.q ** (2.0 / ctx.N - 2.0) * num / den
+
+
+def admissible_half_nome_roots(ctx, n):
+    """The |n| complex solutions of s^n = q^{-N}, the free half-nome on
+    S_{0,n} (reference helper)."""
+    if n == 0:
+        raise DomainError("n must be nonzero")
+    base = ctx.q ** (-ctx.N / n)
+    k = abs(n)
+    return [base * cmath.exp(2j * cmath.pi * j / k) for j in range(k)]
 
 
 def calF(ctx, s_exponent, a, x):
@@ -272,6 +281,46 @@ class TestUDualNome:
         except DomainError:
             return
         assert math.isfinite(val.real) and math.isfinite(val.imag)
+
+
+class TestFloatRange:
+    """No non-finite value passes: a value outside float range raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(log10_q=st.floats(-300, math.log10(0.999)), N=st.integers(2, 6),
+           log10_r=st.floats(-2, 2), phi=st.floats(-math.pi, math.pi))
+    def test_finite_or_declared_error(self, log10_q, N, log10_r, phi):
+        ctx = EllipticContext(N=N, q=10.0 ** log10_q)
+        x = 10.0 ** log10_r * cmath.exp(1j * phi)
+        evaluations = [
+            exchange_plan(ctx, Surface(2, 1), LambdaPair.from_lambda(2)),
+            exchange_plan(ctx, Surface(2, 5), LambdaPair.from_lambda(F(-2, 3))),
+            lambda z: ufunc(ctx, z),
+        ]
+        for evaluate in evaluations:
+            try:
+                val = evaluate(x)
+            except (PoleError, DomainError):
+                continue
+            assert math.isfinite(val.real) and math.isfinite(val.imag)
+
+    @pytest.mark.parametrize("s,lam,q", [
+        (Surface(2, 1), 2, 1e-300), (Surface(1, 2), F(1, 3), 1e-250),
+    ])
+    def test_exchange_outside_float_range(self, s, lam, q):
+        plan = exchange_plan(EllipticContext(N=3, q=q), s, LambdaPair.from_lambda(lam))
+        with pytest.raises(DomainError, match="outside float range"):
+            plan(0.8)
+
+    def test_ufunc_outside_float_range(self):
+        with pytest.raises(DomainError, match="outside float range"):
+            ufunc(EllipticContext(N=3, q=1e-250), 0.8)
+
+    def test_context_has_no_tolerance_fields(self):
+        import dataclasses
+        assert [f.name for f in dataclasses.fields(EllipticContext)] == ["N", "q"]
+        with pytest.raises(TypeError):
+            theta(0.3, 0.5, eps=1e-16)
 
 
 class TestCalF:

@@ -30,6 +30,7 @@ from abelianity import (
     ufunc_a,
     verification_grid,
 )
+from abelianity.elliptic import _DualNome
 
 CTX = EllipticContext(N=3, q=0.6)
 
@@ -176,6 +177,18 @@ class TestThetaLogDerivative:
             theta_logderiv_series(a, a ** k * (1 + 1e-12))
         assert cmath.isfinite(theta_logderiv_series(a, a ** k * (1 + 1e-6)))
 
+    def test_takes_no_truncation_keyword(self):
+        with pytest.raises(TypeError):
+            theta_logderiv_series(0.3, 0.5, eps=1e-16)
+
+    @pytest.mark.parametrize("T", [800.0, 5000.0])
+    def test_kernel_below_float_nome(self, T):
+        # a = e^-T underflows; built from T the kernel still gives the
+        # small-nome limit D_a(x) = x/(1 - x) + O(a)
+        D = _DualNome(T).logderiv
+        for x in (0.5, -0.3 + 0.4j, 2.5j):
+            assert abs(D(x) - x / (1 - x)) <= 1e-12 * (1 + abs(x / (1 - x)))
+
     @pytest.mark.parametrize("delta", [1e-7, -1e-6, 3e-8j])
     def test_accurate_next_to_zero_at_one(self, delta):
         # 1 - x is exact here, so the nome series is accurate; the dual
@@ -272,6 +285,36 @@ class TestRouteEquivalence:
         for x in verification_grid(count=8):
             fc = f_compact(ctx, params, x)
             assert rel_err(fc, f_series(ctx, params, x)) <= 1e-8
+
+    # q^6 is 1e-360 and 1e-600 here, below float range: the nomes are taken
+    # as T = 2N ln(1/q)/l and never formed
+    @pytest.mark.parametrize("q", [1e-60, 1e-100])
+    @pytest.mark.parametrize("p", [1, 7])
+    def test_nome_below_float_range(self, p, q):
+        ctx = EllipticContext(N=3, q=q)
+        params = params_for_line(Surface(p, 1), LambdaPair.from_lambda(2))
+        for x in verification_grid(count=8):
+            fc, fs = f_compact(ctx, params, x), f_series(ctx, params, x)
+            assert cmath.isfinite(fc) and cmath.isfinite(fs)
+            assert rel_err(fc, fs) <= 1e-10
+
+    def test_near_unit_nome_taken_from_log(self):
+        # S(997,1), lambda = 2, q = 0.99: f(0.8) sits close to a pole, so it
+        # moves by 1.7e-6 when T comes from the rounded float q^(6/997)
+        # (8e-13 off); 40-digit mpmath of the same sums with T = 6 ln(1/q)/997
+        # gives the reference
+        ctx = EllipticContext(N=3, q=0.99)
+        params = params_for_line(Surface(997, 1), LambdaPair.from_lambda(2))
+        for f in (f_compact, f_series):
+            assert rel_err(f(ctx, params, 0.8), 517540.902858901711) <= 1e-8
+
+    def test_small_q_value_unchanged(self):
+        # f at x = 0.8 on S(1,1), lambda = 2, q = 1e-20, as printed by the
+        # float-nome evaluation (q^6 = 1e-120 was still in range there)
+        ctx = EllipticContext(N=3, q=1e-20)
+        params = params_for_line(Surface(1, 1), LambdaPair.from_lambda(2))
+        for f in (f_compact, f_series):
+            assert rel_err(f(ctx, params, 0.8), 5034.9860700136478) <= 1e-12
 
     @pytest.mark.parametrize("params", [PA_FLAT, PA], ids=["3,6:-1", "5,2:2"])
     def test_type_a(self, params):
