@@ -42,10 +42,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import LambdaPair, Surface
-from .oracle import _exchange_lists
+from .oracle import _exchange_residues
 
 
 class DomainError(ValueError):
@@ -74,10 +73,6 @@ class EllipticContext:
             raise DomainError(f"N must be >= 2, got {self.N}")
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must lie in (0,1), got {self.q}")
-
-    @property
-    def nome(self) -> float:
-        return self.q ** (2 * self.N)
 
 
 def _finite(v: complex) -> bool:
@@ -298,11 +293,14 @@ def ufunc(ctx: EllipticContext, z: complex) -> complex:
 class ShiftPlan:
     """Exchange product prod_num U(q^{N t} x) / prod_den U(q^{N t} x).
 
-    Built once per command: the distinct exponents t mod 1 become rotations
-    e^{-2 pi i t} of the dual coordinate, so evaluating a point does no
-    rational arithmetic.  Every distinct exponent is tested for an adjacent
-    zero or pole, cancelling ones included, and factors are applied in list
-    order.  A value outside float range raises DomainError.
+    Built once per command from integer exponents: each t is k/L for one
+    modulus L, and the lists keep every raw factor in product order,
+    cancelling ones included.  The distinct residues k mod L become slots,
+    numbered in order of first appearance, each with the rotation
+    e^{-2 pi i t} of the dual coordinate, so building and evaluating do no
+    rational arithmetic.  Every slot is tested for an adjacent zero or
+    pole, and factors are applied in list order.  A value outside float
+    range raises DomainError.
 
     `phase` c makes the argument of factor t carry the extra factor
     e^{pi i c t} (a multiplier e^{2 pi i c t} on z^2): the non-principal
@@ -310,22 +308,18 @@ class ShiftPlan:
     is then reduced again by Y -> rho Y.
     """
 
-    def __init__(self, ctx: EllipticContext, numerator, denominator,
-                 *, phase: int = 0) -> None:
+    def __init__(self, ctx: EllipticContext, modulus: int, numerator,
+                 denominator, *, phase: int = 0) -> None:
         self._dual = _DualNome.for_u(ctx)
-        slots: dict[Fraction, int] = {}
-
-        def slot(t: Fraction) -> int:
-            return slots.setdefault(t % 1, len(slots))
-
-        self._num = [slot(t) for t in numerator]
-        self._den = [slot(t) for t in denominator]
-        self._rot = [cmath.exp(-2j * math.pi * float(t)) for t in slots]
+        slots: dict[int, int] = {}
+        self._num = [slots.setdefault(k % modulus, len(slots)) for k in numerator]
+        self._den = [slots.setdefault(k % modulus, len(slots)) for k in denominator]
+        self._rot = [cmath.exp(-2j * math.pi * (k / modulus)) for k in slots]
         self._rot_inv = [r.conjugate() for r in self._rot]
         self._shifts = None
         if phase:
-            self._shifts = [(2.0 * math.pi * float(phase * t % 1), -2.0 * math.pi * t)
-                            for t in slots]
+            self._shifts = [(2.0 * math.pi * (phase * k % modulus / modulus),
+                             -2.0 * math.pi * (k / modulus)) for k in slots]
 
     def __call__(self, x: complex) -> complex:
         dual = self._dual
@@ -366,17 +360,23 @@ def exchange_plan(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,
     l = 0..|n|-1 divided by U(s^-l x) over l = 1..|n| for the constrained
     half-nome s, which solves s^n = q^{-N} (n := m on S_{m,0}).  The real
     root is the ordinary shift t = -l/n; any other root may be supplied.
+
+    The slots come from every raw factor of the product form as an integer
+    residue mod L (`oracle._exchange_residues`; L = lcm of the reduced
+    denominators of lambda/m and lambda*/n, or |n| on a whole surface),
+    cancelling factors included: the plan is the numeric witness and never
+    reads the oracle's net multiset.
     """
-    num, den = _exchange_lists(s, lam)
+    modulus, num, den = _exchange_residues(s, lam)
     if not s.is_whole_surface_abelian() or half_nome is None:
-        return ShiftPlan(ctx, num, den)
+        return ShiftPlan(ctx, modulus, num, den)
     n = s.n if s.m == 0 else s.m
     if abs(half_nome ** n - ctx.q ** (-ctx.N)) > 1e-9:
         raise DomainError(f"half-nome {half_nome} does not satisfy s^{n} = q^-N")
     k = abs(n)
     j = round(cmath.phase(half_nome) * k / (2 * math.pi)) % k
     # s^l = q^{N t} e^{2 pi i j l/|n|} with t = -l/n: z^2 turns by -2 j sgn(n) t
-    return ShiftPlan(ctx, num, den, phase=-2 * j * (1 if n > 0 else -1))
+    return ShiftPlan(ctx, modulus, num, den, phase=-2 * j * (1 if n > 0 else -1))
 
 
 def yfunc(ctx: EllipticContext, s: Surface, lam: LambdaPair | None, x: complex,
@@ -394,12 +394,13 @@ def centrality_plan(ctx: EllipticContext, m: int, lam: int) -> ShiftPlan:
 
         prod_{k=1}^{m} U(s*^{-k} x) / U(s^{-k} x)
 
-    with s = q^{-N lambda/m}, s* = q^{-N(lambda-1)/m}.
+    with s = q^{-N lambda/m}, s* = q^{-N(lambda-1)/m}: the exponents are
+    t = (lambda-1) k/m over t = lambda k/m, taken as residues mod m.
     """
     if m <= 0:
         raise DomainError("m must be positive (reduce m<0 to |m| first)")
-    return ShiftPlan(ctx, [Fraction((lam - 1) * k, m) for k in range(1, m + 1)],
-                     [Fraction(lam * k, m) for k in range(1, m + 1)])
+    return ShiftPlan(ctx, m, [(lam - 1) * k for k in range(1, m + 1)],
+                     [lam * k for k in range(1, m + 1)])
 
 
 def centrality_ratio(ctx: EllipticContext, m: int, lam: int, x: complex) -> complex:

@@ -207,7 +207,10 @@ class LambdaFamily:
     Members are lambda/m = gamma'*ell + gamma/d + k*n/g for k in Z, with the
     conjugate lambda*/n = gamma'*ell' + gamma/d - k*m/g.  When d | m every
     member has integer lambda and the family degenerates into the integer
-    classification (integer_degenerate is True).
+    classification (integer_degenerate is True).  A member is formed over
+    the common denominator d g as one integer numerator
+    (gamma'*ell*d + gamma) g + k n d; `Fraction` is made only for the
+    returned values.
     """
 
     surface: Surface
@@ -219,13 +222,19 @@ class LambdaFamily:
     ell_prime: int
     integer_degenerate: bool
 
+    def _over_m(self, k: int) -> tuple[int, int]:
+        """(num, d g) with lambda/m = num/(d g) for member k."""
+        d, g = self.d, self.g
+        return ((self.gamma_prime * self.ell * d + self.gamma) * g
+                + k * self.surface.n * d), d * g
+
     def lambda_over_m(self, k: int) -> Fraction:
-        return (self.gamma_prime * self.ell + Fraction(self.gamma, self.d)
-                + k * Fraction(self.surface.n, self.g))
+        return Fraction(*self._over_m(k))
 
     def lambda_pair(self, k: int) -> LambdaPair:
-        lam = self.surface.m * self.lambda_over_m(k)
-        return LambdaPair.from_lambda(lam)
+        num, den = self._over_m(k)
+        lam = self.surface.m * num
+        return LambdaPair(Fraction(lam, den), Fraction(den - lam, den))
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +321,20 @@ def _condition2_d(s: Surface, lam: LambdaPair) -> int | None:
     Requires lambda/m - lambda*/n in Z, equal reduced denominators d, and
     d | (m + n).  Only meaningful for m, n != 0.
     """
-    a, d, b, dp = lam.over(s.m, s.n)
+    return _condition2_reduced(s, *lam.over(s.m, s.n))
+
+
+def _condition2_reduced(s: Surface, a: int, d: int, b: int, dp: int) -> int | None:
+    """`_condition2_d` on lambda/m = a/d and lambda*/n = b/d' in lowest terms."""
     if dp != d or (a - b) % d != 0 or (s.m + s.n) % d != 0:
         return None
     return d
 
 
-def _condition2_witnesses(s: Surface, lam: LambdaPair, d: int) -> Witnesses:
+def _condition2_witnesses(s: Surface, a: int, d: int) -> Witnesses:
+    """Witnesses of a condition-2 line with lambda/m = a/d in lowest terms."""
     g = math.gcd(s.m, s.n)
-    gamma = lam.over(s.m, s.n)[0] % d
+    gamma = a % d
     rhs = 1 - gamma * ((s.m + s.n) // d)
     assert rhs % g == 0, "gamma' must be integral on a condition-2 line"
     gamma_prime = rhs // g
@@ -348,10 +362,10 @@ def classify_lambda(s: Surface, lam: LambdaPair | None,
         return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
     if lam.lam.denominator == 1 and lam.lam_star.denominator == 1:
         return AbelianityVerdict(Verdict.INTEGER_LAMBDA, n_caveat=caveat)
-    d = _condition2_d(s, lam)
-    if d is not None:
+    a, d, b, dp = lam.over(s.m, s.n)
+    if _condition2_reduced(s, a, d, b, dp) is not None:
         return AbelianityVerdict(Verdict.CONDITION2,
-                                 witnesses=_condition2_witnesses(s, lam, d),
+                                 witnesses=_condition2_witnesses(s, a, d),
                                  n_caveat=caveat)
     return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
 

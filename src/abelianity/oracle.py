@@ -96,46 +96,50 @@ def _tally(counts: dict[int, int], a: int, d: int, num: range, den: range,
             counts[k] = counts.get(k, 0) + weight
 
 
-def _exchange_lists(s: Surface,
-                    lam: LambdaPair | None) -> tuple[list[Fraction], list[Fraction]]:
-    """Numerator/denominator exponent lists of the exchange function on s.
+def _exchange_residues(s: Surface,
+                       lam: LambdaPair | None) -> tuple[int, list[int], list[int]]:
+    """(L, numerator, denominator): the exchange function's exponents on s
+    as integers k of t = k/L, each list in product order.
 
-    For m, n != 0 the four products contribute
+    For m, n != 0, with lambda/m = a/d, lambda*/n = b/d' in lowest terms and
+    L = lcm(d, d'), the four products contribute
       numerator:   t = lambda l/m (l=1..|m|),  t = -lambda* l/n (l=1..|n|-1)
       denominator: t = -lambda l/m (l=1..|m|-1),  t = lambda* l/n (l=1..|n|).
     On m=0 (resp. n=0) surfaces the free half-nome obeys s*^n = q^{-N}
-    (resp. s^m = q^{-N}) and the un-cancelled product form is used directly.
+    (resp. s^m = q^{-N}), so t = l e with e = -1/n, and the un-cancelled
+    product form is used directly with L = |n| (resp. |m|).  Keys are not
+    reduced mod L.
     """
     m, n = s.m, s.n
-    if m == 0:
-        e = Fraction(-1, n)  # s* = q^{N e}, from s*^n = q^{-N}
-        num = [ell * e for ell in range(abs(n))]
-        den = [-ell * e for ell in range(1, abs(n) + 1)]
-        return num, den
-    if n == 0:
-        e = Fraction(-1, m)
-        num = [-ell * e for ell in range(1, abs(m) + 1)]
-        den = [ell * e for ell in range(abs(m))]
-        return num, den
+    if m == 0 or n == 0:
+        k = m or n
+        modulus = abs(k)
+        e = -1 if k > 0 else 1  # t = l e/L
+        fwd = [ell * e for ell in range(modulus)]
+        back = [-ell * e for ell in range(1, modulus + 1)]
+        if n == 0:  # S_{m,0} is the reciprocal of S_{0,m}
+            return modulus, back, fwd
+        return modulus, fwd, back
     if lam is None:
         raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
-    lm = lam.lam / m
-    ln = lam.lam_star / n
-    num = [ell * lm for ell in range(1, abs(m) + 1)]
-    num += [-ell * ln for ell in range(1, abs(n))]
-    den = [-ell * lm for ell in range(1, abs(m))]
-    den += [ell * ln for ell in range(1, abs(n) + 1)]
-    return num, den
+    a, d, b, dp = lam.over(m, n)
+    modulus = math.lcm(d, dp)
+    A, B = a * (modulus // d), b * (modulus // dp)
+    num = [ell * A for ell in range(1, abs(m) + 1)]
+    num += [-ell * B for ell in range(1, abs(n))]
+    den = [-ell * A for ell in range(1, abs(m))]
+    den += [ell * B for ell in range(1, abs(n) + 1)]
+    return modulus, num, den
 
 
 def exchange_exponents(s: Surface, lam: LambdaPair | None = None) -> ExponentMultiset:
     """Signed exponent multiset of the exchange function on s at coordinate lam.
 
-    The closed form of `ExponentMultiset.build(*_exchange_lists(s, lam))`:
-    with lambda/m = a/d and lambda*/n = b/d' in lowest terms, the lambda
-    products leave the multipliers `_cycle_remainder(d, |m|)` of a/d, and
-    the lambda* products those of b/d' with numerator and denominator
-    swapped, keyed mod lcm(d, d').  On S_{0,n}, t = l e with e = -1/n, and
+    The closed form of counting the lists of `_exchange_residues` term by
+    term: with lambda/m = a/d and lambda*/n = b/d' in lowest terms, the
+    lambda products leave the multipliers `_cycle_remainder(d, |m|)` of
+    a/d, and the lambda* products those of b/d' with numerator and
+    denominator swapped, keyed mod lcm(d, d').  On S_{0,n}, t = l e with e = -1/n, and
     since |n| e is an integer the lists are that remainder for (e, |n|)
     over the residue 0; S_{m,0} is the reciprocal of S_{0,m}.  At most
     (d + d')/2 multipliers are counted, whatever |m| and |n|.

@@ -25,6 +25,7 @@ apply and must coincide.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,6 +123,26 @@ def _u_logderiv(ctx: EllipticContext, nome: _DualNome, x: complex) -> complex:
     return 2.0 * (D(x2) - D(q2 * x2) + D(q2 / x2) - D(1.0 / x2))
 
 
+def _shift_powers(ctx: EllipticContext, exponent: float, ks: range) -> list[float]:
+    """s^k for k in ks with s = q^exponent, the argument shifts of type (b).
+
+    Raises DomainError when s or a power leaves the normal float range;
+    s is not formed when no k is nonzero.
+    """
+    if not any(ks):
+        return [1.0] * len(ks)
+    try:
+        s = ctx.q ** exponent
+        powers = [s ** k for k in ks]
+        # an overflow raises, an underflow to 0 or a subnormal is silent
+        if all(v >= sys.float_info.min for v in powers):
+            return powers
+    except OverflowError:
+        pass
+    raise DomainError(f"argument shift (q^{exponent:g})^k for k up to "
+                      f"{ks[-1]} lies outside float range")
+
+
 def _second_difference(fn, ctx: EllipticContext, x: complex) -> complex:
     return 2.0 * fn(x) - fn(ctx.q * x) - fn(x / ctx.q)
 
@@ -175,13 +196,14 @@ def f_type_b(ctx: EllipticContext, params: PoissonParamsB, x: complex) -> comple
     m, n = params.surface.m, params.surface.n
     d, mu = params.d, params.mu
     a_d, a_full = _nome(ctx, d), _nome(ctx, 1)
-    s = ctx.q ** (-ctx.N * float(params.lam / m))
+    ks = range(1, mu)
+    shifts = _shift_powers(ctx, -ctx.N * float(params.lam / m), ks)
 
     bracket = (1.0 + mu * mu / (m * n)) * _u_logderiv(ctx, a_d, x)
     bracket -= (d * mu / (m * n)) * _u_logderiv(ctx, a_full, x)
-    for k in range(1, mu):
-        term = _u_logderiv(ctx, a_full, s ** k * x) \
-            + _u_logderiv(ctx, a_full, x / s ** k)
+    for k, sk in zip(ks, shifts):
+        term = _u_logderiv(ctx, a_full, sk * x) \
+            + _u_logderiv(ctx, a_full, x / sk)
         bracket += (d / (m * n)) * (k - mu) * term
     pref = -ctx.N * float(params.lam) * math.log(ctx.q) * (m + n) / d
     return pref * bracket
@@ -195,14 +217,14 @@ def f_type_b_series(ctx: EllipticContext, params: PoissonParamsB,
     m, n = params.surface.m, params.surface.n
     d, mu = params.d, params.mu
     D_d, D_full = _nome(ctx, d).logderiv, _nome(ctx, 1).logderiv
-    p = ctx.q ** (-2.0 * ctx.N * float(params.lam / m))
+    ks = range(mu)
+    shifts = _shift_powers(ctx, -2.0 * ctx.N * float(params.lam / m), ks)
 
     def I(y: complex) -> complex:
         y2 = y * y
         total = (1.0 + mu * mu / (m * n)) * D_d(y2)
         total += (d * mu / (m * n)) * D_full(y2)
-        for k in range(mu):
-            pk = p ** k
+        for k, pk in zip(ks, shifts):
             ksum = D_full(pk * y2) - D_full(pk / y2)
             total += (d / (m * n)) * (k - mu) * ksum
         return total

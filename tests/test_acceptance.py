@@ -268,7 +268,7 @@ def test_criterion_7_poisson_routes():
 
     def logP(y):
         total = (1 + mu * mu / (m * n)) * cmath.log(ufunc_a(ctx, a_d, y))
-        total -= (d * mu / (m * n)) * cmath.log(ufunc_a(ctx, ctx.nome, y))
+        total -= (d * mu / (m * n)) * cmath.log(ufunc_a(ctx, ctx.q ** (2 * ctx.N), y))
         return total
 
     x0, h = 1.31, 1e-6

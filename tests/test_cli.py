@@ -228,6 +228,20 @@ class TestPoissonCommand:
             fc, fs = complex(*c[2:]), complex(*s[2:])
             assert cmath.isfinite(fc) and abs(fc - fs) <= 1e-8 * (1 + abs(fc))
 
+    @pytest.mark.parametrize("argv", [
+        ("--surface=6,3", "--lambda=8/3", "--q=1e-30", "--route=series"),
+        ("--surface=-1,5", "--lambda=-11/4", "--q=1e-50", "--N=4"),
+        ("--surface=-1,5", "--lambda=-11/4", "--q=1e-50", "--N=4",
+         "--route=series"),
+    ])
+    def test_type_b_shift_outside_float_range(self, capsys, argv):
+        # the argument shift s^k = q^(-N lambda k/m) overflows a float
+        assert main(["poisson", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and \
+            "outside float range" in captured.err
+
     def test_off_line_rejected(self, capsys):
         rc, _ = run(capsys, "poisson", "--surface", "2,5", "--lambda=-2/3")
         assert rc == 2

@@ -182,7 +182,7 @@ class TestU:
         with pytest.raises(PoleError):
             ufunc(CTX, 1.0)  # z^2 = 1 = nome^0
         with pytest.raises(PoleError):
-            ufunc(CTX, math.sqrt(CTX.nome))
+            ufunc(CTX, math.sqrt(CTX.q ** (2 * CTX.N)))
 
     def test_full_cycle_product_is_one(self):
         """prod_{j=0}^{N-1} U(q^j x) is identically 1: the combined theta
@@ -209,7 +209,7 @@ class TestUDualNome:
             for r in (0.31, 0.77, 1.0, 1.9, 4.3):
                 for phi in (0.0, 0.4, 1.3, math.pi / 2, 2.2, 3.0, -0.9, math.pi):
                     z = r * cmath.exp(1j * phi)
-                    nome = ctx.nome if a is None else a
+                    nome = ctx.q ** (2 * ctx.N) if a is None else a
                     if u_zero_pole_adjacent(ctx, nome, z):
                         continue
                     got = ufunc(ctx, z) if a is None else ufunc_a(ctx, a, z)
@@ -221,7 +221,7 @@ class TestUDualNome:
         rng = random.Random(5)
         for _ in range(50):
             z = rng.uniform(0.2, 5.0) * cmath.exp(1j * rng.uniform(-3.1, 3.1))
-            for a in (CTX.nome, 0.3):
+            for a in (CTX.q ** (2 * CTX.N), 0.3):
                 u = ufunc_a(CTX, a, z)
                 assert abs(ufunc_a(CTX, a, z.conjugate()) - u.conjugate()) \
                     <= 1e-15 * abs(u)
@@ -361,9 +361,9 @@ class TestY:
         for root in admissible_half_nome_roots(CTX, n):
             direct = 1.0 + 0.0j
             for ell in range(abs(n)):
-                direct *= u_reference(CTX, CTX.nome, root ** ell * x)
+                direct *= u_reference(CTX, CTX.q ** (2 * CTX.N), root ** ell * x)
             for ell in range(1, abs(n) + 1):
-                direct /= u_reference(CTX, CTX.nome, root ** (-ell) * x)
+                direct /= u_reference(CTX, CTX.q ** (2 * CTX.N), root ** (-ell) * x)
             if s.n == 0:
                 direct = 1 / direct  # the exponent lists of S_{m,0} are inverted
             got = exchange_plan(CTX, s, None, half_nome=root)(x)
@@ -380,9 +380,9 @@ class TestY:
         for x in (1.37, 0.8 + 0.3j, -1.1 - 0.6j):
             direct = 1.0 + 0.0j
             for t in num:
-                direct *= u_reference(CTX, CTX.nome, q ** (N * float(t)) * x)
+                direct *= u_reference(CTX, CTX.q ** (2 * CTX.N), q ** (N * float(t)) * x)
             for t in den:
-                direct /= u_reference(CTX, CTX.nome, q ** (N * float(t)) * x)
+                direct /= u_reference(CTX, CTX.q ** (2 * CTX.N), q ** (N * float(t)) * x)
             assert abs(plan(x) - direct) <= 1e-11 * abs(direct)
 
     def test_bad_half_nome_rejected(self):

@@ -445,6 +445,22 @@ class TestSolveCondition2:
                 pair = f.lambda_pair(k)
                 assert raw_condition2(s, pair.lam) == f.d
 
+    @given(st.integers(-40, 40).filter(bool), st.integers(-40, 40).filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_members_match_fraction_formula(self, m, n):
+        """The integer member formula against lambda/m = gamma'*ell +
+        gamma/d + k*n/g in Fraction arithmetic, for every family."""
+        assume(m + n != 0)
+        s = Surface(m, n)
+        for f in solve_condition2(s):
+            for k in range(-6, 7):
+                over_m = f.gamma_prime * f.ell + F(f.gamma, f.d) + k * F(n, f.g)
+                pair = f.lambda_pair(k)
+                assert f.lambda_over_m(k) == over_m
+                assert (pair.lam, pair.lam_star) == (m * over_m, 1 - m * over_m)
+                assert pair.lam_star / n == \
+                    f.gamma_prime * f.ell_prime + F(f.gamma, f.d) - k * F(m, f.g)
+
 
 class TestSuperAbelianity:
     def test_passing_example(self):

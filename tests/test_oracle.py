@@ -1,6 +1,8 @@
 """Multiset cancellation oracle tests, including the equivalence with the
 integer classification and the full-cycle collapse detector."""
 
+import cmath
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,17 +10,52 @@ from hypothesis import given, settings, strategies as st
 
 from abelianity import (
     DegenerateParametrizationError,
+    EllipticContext,
     ExponentMultiset,
     LambdaPair,
     Surface,
     centrality_exponents,
+    centrality_plan,
     classify_lambda,
     cycle_collapses,
     exchange_exponents,
+    exchange_plan,
     is_abelian,
     super_abelianity_check,
 )
-from abelianity.oracle import _cycle_remainder, _exchange_lists
+from abelianity.oracle import _cycle_remainder, _exchange_residues
+
+
+def _exchange_lists(s, lam):
+    """Numerator/denominator exponent lists of the exchange function on s,
+    in Fraction arithmetic (reference for `_exchange_residues`).
+
+    For m, n != 0 the four products contribute
+      numerator:   t = lambda l/m (l=1..|m|),  t = -lambda* l/n (l=1..|n|-1)
+      denominator: t = -lambda l/m (l=1..|m|-1),  t = lambda* l/n (l=1..|n|).
+    On m=0 (resp. n=0) surfaces the free half-nome obeys s*^n = q^{-N}
+    (resp. s^m = q^{-N}) and the un-cancelled product form is used directly.
+    """
+    m, n = s.m, s.n
+    if m == 0:
+        e = F(-1, n)  # s* = q^{N e}, from s*^n = q^{-N}
+        num = [ell * e for ell in range(abs(n))]
+        den = [-ell * e for ell in range(1, abs(n) + 1)]
+        return num, den
+    if n == 0:
+        e = F(-1, m)
+        num = [-ell * e for ell in range(1, abs(m) + 1)]
+        den = [ell * e for ell in range(abs(m))]
+        return num, den
+    if lam is None:
+        raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
+    lm = lam.lam / m
+    ln = lam.lam_star / n
+    num = [ell * lm for ell in range(1, abs(m) + 1)]
+    num += [-ell * ln for ell in range(1, abs(n))]
+    den = [-ell * lm for ell in range(1, abs(m))]
+    den += [ell * ln for ell in range(1, abs(n) + 1)]
+    return num, den
 
 
 def reduced_form(s, lam):
@@ -266,3 +303,101 @@ class TestCycleCollapse:
                         sa, lambda_of_intersection(sa, sb))
                     if not mset.is_empty():
                         assert not cycle_collapses(mset, 3)
+
+
+def _bits(values):
+    """Exact bit patterns of floats and complexes, so -0.0 != 0.0."""
+    out = []
+    for v in values:
+        if isinstance(v, complex):
+            out.append((v.real.hex(), v.imag.hex()))
+        elif isinstance(v, tuple):
+            out.append(tuple(x.hex() for x in v))
+        else:
+            out.append(v.hex())
+    return out
+
+
+def _reference_plan(numerator, denominator, phase=0):
+    """(num slots, den slots, rotations, phase shifts) of a shift plan built
+    from Fraction exponents: slots are the distinct t mod 1 in order of
+    first appearance (reference for the residue-built `ShiftPlan`)."""
+    slots = {}
+    num = [slots.setdefault(t % 1, len(slots)) for t in numerator]
+    den = [slots.setdefault(t % 1, len(slots)) for t in denominator]
+    rot = [cmath.exp(-2j * math.pi * float(t)) for t in slots]
+    shifts = None
+    if phase:
+        shifts = [(2.0 * math.pi * float(phase * t % 1), -2.0 * math.pi * t)
+                  for t in slots]
+    return num, den, rot, shifts
+
+
+def _whole_surface_phase(k, root):
+    """The phase of a half-nome root of s^k = q^-N (reference)."""
+    j = round(cmath.phase(root) * abs(k) / (2 * math.pi)) % abs(k)
+    return -2 * j * (1 if k > 0 else -1)
+
+
+def _assert_plan_matches(plan, numerator, denominator, phase=0):
+    num, den, rot, shifts = _reference_plan(numerator, denominator, phase)
+    assert plan._num == num and plan._den == den
+    assert _bits(plan._rot) == _bits(rot)
+    assert _bits(plan._rot_inv) == _bits([r.conjugate() for r in rot])
+    if shifts is None:
+        assert plan._shifts is None
+    else:
+        assert _bits(plan._shifts) == _bits(shifts)
+
+
+class TestResiduePlan:
+    """Shift plans built from integer residues against the Fraction lists:
+    the same slots in the same order and bit-identical rotations."""
+
+    @given(st.integers(-12, 12), st.integers(-12, 12),
+           st.integers(-60, 60), st.integers(1, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_residues_are_the_exponent_lists(self, m, n, num, den):
+        if (m, n) == (0, 0):
+            return
+        s = Surface(m, n)
+        pair = None if s.is_whole_surface_abelian() else \
+            LambdaPair.from_lambda(F(num, den))
+        modulus, rnum, rden = _exchange_residues(s, pair)
+        ref_num, ref_den = _exchange_lists(s, pair)
+        assert [F(k, modulus) for k in rnum] == ref_num
+        assert [F(k, modulus) for k in rden] == ref_den
+
+    @given(st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool),
+           st.integers(-60, 60), st.integers(1, 30),
+           st.sampled_from([(2, 0.3), (3, 0.6), (4, 0.9)]))
+    @settings(max_examples=300, deadline=None)
+    def test_exchange_plan_slots(self, m, n, num, den, nq):
+        ctx = EllipticContext(*nq)
+        s, pair = Surface(m, n), LambdaPair.from_lambda(F(num, den))
+        _assert_plan_matches(exchange_plan(ctx, s, pair), *_exchange_lists(s, pair))
+
+    @pytest.mark.parametrize("N, q", [(2, 0.3), (3, 0.6), (5, 0.95)])
+    def test_whole_surface_plan_slots_at_every_root(self, N, q):
+        ctx = EllipticContext(N=N, q=q)
+        for k in range(-12, 13):
+            if k == 0:
+                continue
+            base = q ** (-N / k)
+            roots = [base * cmath.exp(2j * cmath.pi * j / abs(k))
+                     for j in range(abs(k))]
+            for s in (Surface(0, k), Surface(k, 0)):
+                lists = _exchange_lists(s, None)
+                _assert_plan_matches(exchange_plan(ctx, s, None), *lists)
+                for root in roots:
+                    _assert_plan_matches(
+                        exchange_plan(ctx, s, None, half_nome=root), *lists,
+                        phase=_whole_surface_phase(k, root))
+
+    @given(st.integers(1, 60), st.integers(-200, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_centrality_plan_slots(self, m, lam):
+        _assert_plan_matches(
+            centrality_plan(EllipticContext(N=3, q=0.6), m, lam),
+            [F((lam - 1) * k, m) for k in range(1, m + 1)],
+            [F(lam * k, m) for k in range(1, m + 1)])

@@ -399,7 +399,7 @@ class TestFiniteDifferenceAssembly:
         params = PB2
         m, n, d, mu = 5, 4, params.d, params.mu
         a_d = CTX.q ** (2 * CTX.N / d)
-        a_full = CTX.nome
+        a_full = CTX.q ** (2 * CTX.N)
         s = CTX.q ** (-CTX.N * float(params.lam / m))
 
         def logP(y):
