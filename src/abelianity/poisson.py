@@ -134,11 +134,12 @@ def _shift_powers(ctx: EllipticContext, exponent: float, ks: range) -> list[floa
     try:
         s = ctx.q ** exponent
         powers = [s ** k for k in ks]
-        # an overflow raises, an underflow to 0 or a subnormal is silent
-        if all(v >= sys.float_info.min for v in powers):
-            return powers
     except OverflowError:
         pass
+    else:
+        # an underflow to 0 or to a subnormal float is silent
+        if all(v >= sys.float_info.min for v in powers):
+            return powers
     raise DomainError(f"argument shift (q^{exponent:g})^k for k up to "
                       f"{ks[-1]} lies outside float range")
 
