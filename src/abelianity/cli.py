@@ -11,6 +11,7 @@ could be evaluated), 2 invalid input.  A reader that closes stdout early
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import json
 import math
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import elliptic, lattice, oracle, poisson
-from .elliptic import EllipticContext, PoleError
+from .elliptic import DomainError, EllipticContext, PoleError
 from .lattice import LambdaPair, Surface
 
 # numeric witness thresholds: abelian lines must sit below SOUND_TOL,
@@ -29,9 +30,12 @@ COMPLETE_TOL = 1e-4
 
 
 def _frac_str(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    return _int_frac_str(v.numerator, v.denominator)
+
+
+def _int_frac_str(num: int, den: int) -> str:
+    """num/den, already in lowest terms with den > 0, as "a/b" or "a"."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # argparse shows the text of an ArgumentTypeError but replaces that of a
@@ -191,17 +195,17 @@ def _cmd_classify(args) -> int:
 
 def _cmd_enumerate_lines(args) -> int:
     s = args.surface
-    families = lattice.solve_condition2(s)
-    ks = list(range(args.k_min, args.k_max + 1))
+    if args.k_min > args.k_max:
+        raise ValueError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
+    ks = range(args.k_min, args.k_max + 1)
     fams = []
-    for fam in families:
+    for fam in lattice.solve_condition2(s):
         members = []
         for k in ks:
-            pair = fam.lambda_pair(k)
-            tag = lattice.classify_lambda(s, pair, args.N).tag.value
-            members.append({"k": k, "lambda": _frac_str(pair.lam),
-                            "lambda_star": _frac_str(pair.lam_star),
-                            "tag": tag})
+            num, den, tag = fam.member(k)
+            members.append({"k": k, "lambda": _int_frac_str(num, den),
+                            "lambda_star": _int_frac_str(den - num, den),
+                            "tag": tag.value})
         fams.append({"d": fam.d, "gamma": fam.gamma,
                      "gamma_prime": fam.gamma_prime, "g": fam.g,
                      "ell": fam.ell, "ell_prime": fam.ell_prime,
@@ -214,6 +218,8 @@ def _cmd_enumerate_lines(args) -> int:
 
 def _cmd_surfaces_through(args) -> int:
     s1, s2 = args.s1, args.s2
+    if args.t_min > args.t_max:
+        raise ValueError(f"--t-min {args.t_min} exceeds --t-max {args.t_max}")
     line = lattice.intersect_surfaces(s1, s2)
     if line is None:
         print(f"error: {s1} and {s2} do not intersect", file=sys.stderr)
@@ -226,13 +232,20 @@ def _cmd_surfaces_through(args) -> int:
     return 0
 
 
+def _finite_at(val: complex, x: complex) -> complex:
+    """val, or DomainError: no NaN or infinity enters a maximum or a row."""
+    if not cmath.isfinite(val):
+        raise DomainError(f"value {val} at grid point x = {x} is not finite")
+    return val
+
+
 def _grid_max_deviation(ctx: EllipticContext, evaluate, grid) -> tuple[float, int]:
     """Max |value - 1| over the grid, skipping pole-adjacent points."""
     worst = 0.0
     used = 0
     for x in grid:
         try:
-            val = evaluate(x)
+            val = _finite_at(evaluate(x), x)
         except PoleError:
             continue
         used += 1
@@ -332,7 +345,7 @@ def _cmd_poisson(args) -> int:
     for x in args.grid:
         x_re, x_im = f"{x.real:.17g}", f"{x.imag:.17g}"
         try:
-            val = evaluate(x)
+            val = _finite_at(evaluate(x), x)
         except PoleError as exc:
             print(f"poisson: skipped x = {x_re},{x_im}: {exc}", file=sys.stderr)
             continue

@@ -9,7 +9,7 @@ itself), so every operation is pure integer/rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
@@ -209,8 +209,11 @@ class LambdaFamily:
     member has integer lambda and the family degenerates into the integer
     classification (integer_degenerate is True).  A member is formed over
     the common denominator d g as one integer numerator
-    (gamma'*ell*d + gamma) g + k n d; `Fraction` is made only for the
-    returned values.
+    (gamma'*ell*d + gamma) g + k n d and classified on integers; only
+    `lambda_pair` makes `Fraction`s.  Construction checks members k = -2..2
+    against the raw condition-2 predicate and the expected verdict
+    (Condition2 with witnesses (d, gamma, gamma', g), or IntegerLambda when
+    integer-degenerate), raising CrossCheckError, and keeps them in `checked`.
     """
 
     surface: Surface
@@ -221,20 +224,46 @@ class LambdaFamily:
     ell: int
     ell_prime: int
     integer_degenerate: bool
+    checked: tuple[tuple[int, int, Verdict], ...] = field(
+        init=False, repr=False, compare=False)
 
-    def _over_m(self, k: int) -> tuple[int, int]:
-        """(num, d g) with lambda/m = num/(d g) for member k."""
-        d, g = self.d, self.g
-        return ((self.gamma_prime * self.ell * d + self.gamma) * g
-                + k * self.surface.n * d), d * g
+    def __post_init__(self) -> None:
+        expected = AbelianityVerdict(Verdict.INTEGER_LAMBDA) \
+            if self.integer_degenerate else AbelianityVerdict(
+                Verdict.CONDITION2,
+                Witnesses(self.d, self.gamma, self.gamma_prime, self.g))
+        checked = []
+        for k in range(-2, 3):
+            num, den, reduced = self._integers(k)
+            if _condition2_reduced(self.surface, *reduced) != self.d:
+                raise CrossCheckError(f"family {self} member k={k} fails condition 2")
+            verdict = _classify_reduced(self.surface, *reduced)
+            if verdict != expected:
+                raise CrossCheckError(
+                    f"family {self} member k={k}: verdict {verdict} != {expected}")
+            checked.append((num, den, verdict.tag))
+        object.__setattr__(self, "checked", tuple(checked))
 
-    def lambda_over_m(self, k: int) -> Fraction:
-        return Fraction(*self._over_m(k))
+    def _integers(self, k: int) -> tuple[int, int, tuple[int, int, int, int]]:
+        """Member k as lambda = num/den and (a, d, b, d') with lambda/m = a/d
+        and lambda*/n = b/d', all in lowest terms with positive denominators."""
+        dg, n = self.d * self.g, self.surface.n
+        over_m = (self.gamma_prime * self.ell * self.d + self.gamma) * self.g \
+            + k * n * self.d
+        lam = self.surface.m * over_m
+        return *_lowest(lam, dg), (*_lowest(over_m, dg), *_lowest(dg - lam, dg * n))
+
+    def member(self, k: int) -> tuple[int, int, Verdict]:
+        """(numerator, denominator, tag) of member k, lambda in lowest terms;
+        k = -2..2 are read from `checked`, so each is classified once."""
+        if -2 <= k <= 2:
+            return self.checked[k + 2]
+        num, den, reduced = self._integers(k)
+        return num, den, _classify_reduced(self.surface, *reduced).tag
 
     def lambda_pair(self, k: int) -> LambdaPair:
-        num, den = self._over_m(k)
-        lam = self.surface.m * num
-        return LambdaPair(Fraction(lam, den), Fraction(den - lam, den))
+        num, den, _ = self._integers(k)
+        return LambdaPair(Fraction(num, den), Fraction(den - num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +370,21 @@ def _condition2_witnesses(s: Surface, a: int, d: int) -> Witnesses:
     return Witnesses(d=d, gamma=gamma, gamma_prime=gamma_prime, g=g)
 
 
+def _classify_reduced(s: Surface, a: int, d: int, b: int, dp: int,
+                      caveat: bool = False) -> AbelianityVerdict:
+    """`classify_lambda` past its whole-surface and extended-center cases,
+    for lambda/m = a/d and lambda*/n = b/d' in lowest terms."""
+    if a == 0 or b == 0:
+        return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
+    if s.m % d == 0 and s.n % dp == 0:
+        return AbelianityVerdict(Verdict.INTEGER_LAMBDA, n_caveat=caveat)
+    if _condition2_reduced(s, a, d, b, dp) is not None:
+        return AbelianityVerdict(Verdict.CONDITION2,
+                                 witnesses=_condition2_witnesses(s, a, d),
+                                 n_caveat=caveat)
+    return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
+
+
 def classify_lambda(s: Surface, lam: LambdaPair | None,
                     N: int = 3) -> AbelianityVerdict:
     """Abelianity verdict for the line with coordinate lam on surface s.
@@ -358,16 +402,7 @@ def classify_lambda(s: Surface, lam: LambdaPair | None,
         return AbelianityVerdict(Verdict.EXTENDED_CENTER, n_caveat=caveat)
     if lam is None:
         raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
-    if lam.lam.numerator == 0 or lam.lam_star.numerator == 0:
-        return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
-    if lam.lam.denominator == 1 and lam.lam_star.denominator == 1:
-        return AbelianityVerdict(Verdict.INTEGER_LAMBDA, n_caveat=caveat)
-    a, d, b, dp = lam.over(s.m, s.n)
-    if _condition2_reduced(s, a, d, b, dp) is not None:
-        return AbelianityVerdict(Verdict.CONDITION2,
-                                 witnesses=_condition2_witnesses(s, a, d),
-                                 n_caveat=caveat)
-    return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
+    return _classify_reduced(s, *lam.over(s.m, s.n), caveat)
 
 
 Side = tuple[LambdaPair | None, AbelianityVerdict]
@@ -418,7 +453,8 @@ def solve_condition2(s: Surface) -> list[LambdaFamily]:
     For g = gcd(m,n) and Bezout (ell, ell') with ell*m + ell'*n = g, a
     divisor d > 0 of m+n is admissible when (m+n)/d is coprime with g; each
     gamma with 0 < gamma < d, gcd(gamma, d) = 1 and g | (1 - gamma (m+n)/d)
-    yields one family (gamma' solving gamma' g + gamma (m+n)/d = 1).
+    yields one family (gamma' solving gamma' g + gamma (m+n)/d = 1), whose
+    construction self-checks its members k = -2..2 (`LambdaFamily`).
 
     Returns [] when no admissible (d, gamma) exists, i.e. no
     cross-cancellation can occur on this surface.
@@ -448,31 +484,10 @@ def solve_condition2(s: Surface) -> list[LambdaFamily]:
             rhs = 1 - gamma * quot
             if rhs % g != 0:
                 continue
-            gamma_prime = rhs // g
-            fam = LambdaFamily(surface=s, d=d, gamma=gamma,
-                               gamma_prime=gamma_prime, g=g,
-                               ell=ell, ell_prime=ell_prime,
-                               integer_degenerate=(m % d == 0))
-            _check_family(fam)
-            families.append(fam)
+            families.append(LambdaFamily(
+                surface=s, d=d, gamma=gamma, gamma_prime=rhs // g, g=g,
+                ell=ell, ell_prime=ell_prime, integer_degenerate=(m % d == 0)))
     return families
-
-
-def _check_family(fam: LambdaFamily) -> None:
-    """Self-check: members satisfy the raw condition-2 predicate for k in
-    [-2,2] and classify abelian (Condition2, or IntegerLambda when the
-    family is integer-degenerate, i.e. d | m)."""
-    s = fam.surface
-    for k in range(-2, 3):
-        pair = fam.lambda_pair(k)
-        if _condition2_d(s, pair) != fam.d:
-            raise CrossCheckError(f"family {fam} member k={k} fails condition 2")
-        verdict = classify_lambda(s, pair)
-        expected = (Verdict.INTEGER_LAMBDA if fam.integer_degenerate
-                    else Verdict.CONDITION2)
-        if verdict.tag is not expected:
-            raise CrossCheckError(
-                f"family {fam} member k={k}: verdict {verdict.tag} != {expected}")
 
 
 def super_abelianity_check(m: int, lam: int) -> SuperAbelianityVerdict:

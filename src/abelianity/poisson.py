@@ -120,7 +120,14 @@ def _u_logderiv(ctx: EllipticContext, nome: _DualNome, x: complex) -> complex:
     q2 = ctx.q * ctx.q
     x2 = x * x
     D = nome.logderiv
-    return 2.0 * (D(x2) - D(q2 * x2) + D(q2 / x2) - D(1.0 / x2))
+    try:
+        return 2.0 * (D(x2) - D(q2 * x2) + D(q2 / x2) - D(1.0 / x2))
+    except (DomainError, ZeroDivisionError) as exc:  # D_a was handed 0 or inf
+        raise DomainError(_RANGE_REASON.format(ctx.q)) from exc
+
+
+_RANGE_REASON = ("argument must be finite and nonzero: a squared or shifted "
+                 "grid argument at q = {:g} lies outside float range")
 
 
 def _shift_powers(ctx: EllipticContext, exponent: float, ks: range) -> list[float]:
@@ -145,7 +152,10 @@ def _shift_powers(ctx: EllipticContext, exponent: float, ks: range) -> list[floa
 
 
 def _second_difference(fn, ctx: EllipticContext, x: complex) -> complex:
-    return 2.0 * fn(x) - fn(ctx.q * x) - fn(x / ctx.q)
+    try:
+        return 2.0 * fn(x) - fn(ctx.q * x) - fn(x / ctx.q)
+    except (DomainError, ZeroDivisionError) as exc:
+        raise DomainError(_RANGE_REASON.format(ctx.q)) from exc
 
 
 # ---------------------------------------------------------------------------

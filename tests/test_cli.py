@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import abelianity
-from abelianity import Surface, intersect_surfaces
-from abelianity.cli import main
+from abelianity import Surface, classify_lambda, intersect_surfaces, solve_condition2
+from abelianity.cli import _frac_str, main
 from abelianity.elliptic import PoleError
 
 # sha256 of the `scan --box=6` output, recorded before the exact layer moved
@@ -100,6 +100,38 @@ class TestEnumerateLines:
         rc, _ = run(capsys, "enumerate-lines", "--surface", "1,-1")
         assert rc == 2
 
+    @pytest.mark.parametrize("surface", ["2,2", "2,4", "5,4", "-3,7", "6,-1",
+                                         "-9,-3", "12,5"])
+    @pytest.mark.parametrize("extra", [("--N=2",), ("--k-min=-6", "--k-max=6")],
+                             ids=["N2", "k6"])
+    def test_members_match_lambda_pair_and_classify(self, capsys, surface, extra):
+        """Each printed member is lambda_pair(k) and its classify_lambda tag,
+        although the command classifies it only once, on integers."""
+        rc, out = run(capsys, "enumerate-lines", f"--surface={surface}", *extra)
+        assert rc == 0
+        doc = json.loads(out)
+        s = Surface(*(int(v) for v in surface.split(",")))
+        fams = solve_condition2(s)
+        assert len(doc["families"]) == len(fams)
+        N = doc["N"]
+        for printed, fam in zip(doc["families"], fams):
+            assert (printed["d"], printed["gamma"]) == (fam.d, fam.gamma)
+            assert [m["k"] for m in printed["members"]] == \
+                list(range(-6, 7) if "--k-max=6" in extra else range(-2, 3))
+            for member in printed["members"]:
+                pair = fam.lambda_pair(member["k"])
+                assert member == {
+                    "k": member["k"], "lambda": _frac_str(pair.lam),
+                    "lambda_star": _frac_str(pair.lam_star),
+                    "tag": classify_lambda(s, pair, N).tag.value}
+
+    def test_reversed_k_range_is_exit_2(self, capsys):
+        rc = main(["enumerate-lines", "--surface=2,2", "--k-min=3", "--k-max=1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: --k-min 3 exceeds --k-max 1" in captured.err
+
 
 class TestSurfacesThrough:
     def test_window(self, capsys):
@@ -110,6 +142,14 @@ class TestSurfacesThrough:
         assert doc["surfaces"] == [{"m": 0, "n": 3}, {"m": 1, "n": 4},
                                    {"m": 2, "n": 5}, {"m": 3, "n": 6},
                                    {"m": 4, "n": 7}]
+
+    def test_reversed_t_range_is_exit_2(self, capsys):
+        rc = main(["surfaces-through", "--s1", "3,6", "--s2", "2,5",
+                   "--t-min=3", "--t-max=1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: --t-min 3 exceeds --t-max 1" in captured.err
 
 
 class TestVerify:
@@ -171,6 +211,27 @@ class TestVerify:
         doc = json.loads(out)
         assert rc == 1
         assert doc["points_evaluated"] == 0 and doc["consistent"] is False
+
+    @pytest.mark.parametrize("bad", [float("nan"), complex(float("inf"), 0.0)],
+                             ids=["nan", "inf"])
+    def test_non_finite_value_is_exit_2(self, capsys, monkeypatch, bad):
+        # a non-finite grid value raises; it is never folded into max()
+        from abelianity import elliptic
+
+        def one_bad_point(*args, **kwargs):
+            def evaluate(x):
+                return bad if x.imag > 0 else 1.0 + 0j
+            return evaluate
+
+        monkeypatch.setattr(elliptic, "exchange_plan", one_bad_point)
+        monkeypatch.setattr(elliptic, "centrality_plan", one_bad_point)
+        for argv in (["verify-y", "--surface", "1,2", "--lambda", "1/3"],
+                     ["verify-super", "--m", "3", "--lambda", "2"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: value ")
+            assert "is not finite" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ("--surface=2,1", "--lambda=2", "--q=1e-300"),
@@ -242,6 +303,19 @@ class TestPoissonCommand:
         assert captured.err.startswith("error: ") and \
             "outside float range" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ("--surface=1,1", "--lambda=3/2", "--q=1e-200", "--N=2", "--route=series"),
+        ("--surface=6,3", "--lambda=8/3", "--q=1e-30"),
+    ])
+    def test_squared_argument_outside_float_range(self, capsys, argv):
+        # q^2 x^2 underflows (series) or (s^5 x)^2 overflows (compact)
+        assert main(["poisson", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "squared or shifted grid argument" in captured.err
+        assert "lies outside float range" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_off_line_rejected(self, capsys):
         rc, _ = run(capsys, "poisson", "--surface", "2,5", "--lambda=-2/3")
         assert rc == 2
@@ -268,6 +342,23 @@ class TestPoissonCommand:
         skipped = captured.err.strip().split("\n")
         assert len(skipped) == 1
         assert f"{grid[1].real:.17g},{grid[1].imag:.17g}" in skipped[0]
+
+    @pytest.mark.parametrize("bad", [complex(float("nan"), 0.0),
+                                     complex(0.0, float("-inf"))],
+                             ids=["nan", "inf"])
+    def test_non_finite_row_is_exit_2(self, capsys, monkeypatch, bad):
+        # a non-finite value raises; it is never printed as a row
+        from abelianity import poisson
+        grid = abelianity.verification_grid(0.8, 1.25, 4)
+        monkeypatch.setattr(poisson, "f_compact",
+                            lambda ctx, params, x: bad if x == grid[2] else 0j)
+        rc = main(["poisson", "--surface", "1,2", "--lambda", "1/3",
+                   "--grid", "0.8,1.25,4"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: value ")
+        assert "is not finite" in captured.err
 
     def test_all_pole_grid_is_exit_1(self, capsys, monkeypatch):
         grid = abelianity.verification_grid(0.8, 1.25, 3)

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from abelianity import (
     ConstructionFailedError,
+    CrossCheckError,
     DegenerateParametrizationError,
     LambdaPair,
     NoIntersectionError,
@@ -29,7 +30,14 @@ from abelianity import (
     super_abelianity_check,
     surfaces_through_line,
 )
-from abelianity.lattice import _bezout_min_second, _condition2_d
+from abelianity import lattice
+from abelianity.lattice import (
+    AbelianityVerdict,
+    _bezout_min_second,
+    _condition2_d,
+    _condition2_reduced,
+    _condition2_witnesses,
+)
 
 surfaces = st.tuples(st.integers(-8, 8), st.integers(-8, 8)) \
     .filter(lambda t: t != (0, 0)).map(lambda t: Surface(*t))
@@ -49,6 +57,50 @@ def raw_condition2(s: Surface, lam: F):
     if d == 1 or ln.denominator != d or (s.m + s.n) % d != 0:
         return None
     return d
+
+
+def reference_classify_lambda(s: Surface, lam: LambdaPair | None,
+                              N: int = 3) -> AbelianityVerdict:
+    """The Fraction path that `classify_lambda` took before its branches
+    moved onto the reduced integers (a, d, b, d'): zero and integer lambda
+    are read from the `Fraction` accessors, and only the remaining lines
+    are reduced."""
+    caveat = (N == 2)
+    if s.is_whole_surface_abelian():
+        return AbelianityVerdict(Verdict.WHOLE_SURFACE, n_caveat=caveat)
+    if s.is_extended_center():
+        return AbelianityVerdict(Verdict.EXTENDED_CENTER, n_caveat=caveat)
+    if lam.lam.numerator == 0 or lam.lam_star.numerator == 0:
+        return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
+    if lam.lam.denominator == 1 and lam.lam_star.denominator == 1:
+        return AbelianityVerdict(Verdict.INTEGER_LAMBDA, n_caveat=caveat)
+    a, d, b, dp = lam.over(s.m, s.n)
+    if _condition2_reduced(s, a, d, b, dp) is not None:
+        return AbelianityVerdict(Verdict.CONDITION2,
+                                 witnesses=_condition2_witnesses(s, a, d),
+                                 n_caveat=caveat)
+    return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
+
+
+@st.composite
+def lines_on_wide_surfaces(draw):
+    """(s, lam) with |m|, |n| <= 40: lambda in {0, 1}, an integer, a
+    rational a/b, or a member k = -4..4 of a cross-cancellation family."""
+    s = draw(st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+             .filter(lambda t: t != (0, 0)).map(lambda t: Surface(*t)))
+    kind = draw(st.sampled_from(["unit", "integer", "rational", "member"]))
+    if kind == "unit":
+        lam = F(draw(st.sampled_from([0, 1])))
+    elif kind == "integer":
+        lam = F(draw(st.integers(-90, 90)))
+    elif kind == "rational":
+        lam = F(draw(st.integers(-200, 200)), draw(st.integers(1, 90)))
+    else:
+        assume(s.m and s.n and s.m + s.n)
+        fams = solve_condition2(s)
+        assume(fams)
+        lam = draw(st.sampled_from(fams)).lambda_pair(draw(st.integers(-4, 4))).lam
+    return s, LambdaPair.from_lambda(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +348,14 @@ class TestIntegerLayer:
         assert F(a, d) == pair.lam / s.m and d == (pair.lam / s.m).denominator
         assert F(b, dp) == pair.lam_star / s.n and dp == (pair.lam_star / s.n).denominator
 
+    @given(lines_on_wide_surfaces(), st.sampled_from([2, 3, 4]))
+    @settings(max_examples=500, deadline=None)
+    def test_integer_core_matches_fraction_path(self, line, N):
+        """classify_lambda on (a, d, b, d') gives the Fraction path's
+        verdict, witnesses and n_caveat included."""
+        s, lam = line
+        assert classify_lambda(s, lam, N) == reference_classify_lambda(s, lam, N)
+
     def test_invariants_still_checked(self):
         with pytest.raises(ValueError):
             LineParams(F(1, 3), F(-1, 3), F(1, 3))
@@ -426,7 +486,8 @@ class TestSolveCondition2:
 
         def in_some_family(lam):
             for f in fams:
-                diff = lam / s.m - f.lambda_over_m(0)
+                a, d, _, _ = f._integers(0)[2]
+                diff = lam / s.m - F(a, d)
                 if diff % F(s.n, f.g) == 0:
                     return True
             return False
@@ -449,17 +510,43 @@ class TestSolveCondition2:
     @settings(max_examples=150, deadline=None)
     def test_members_match_fraction_formula(self, m, n):
         """The integer member formula against lambda/m = gamma'*ell +
-        gamma/d + k*n/g in Fraction arithmetic, for every family."""
+        gamma/d + k*n/g in Fraction arithmetic, for every family; `member(k)`
+        gives lambda in lowest terms and the tag of the Fraction path, for
+        the five checked members and beyond them."""
         assume(m + n != 0)
         s = Surface(m, n)
         for f in solve_condition2(s):
+            assert len(f.checked) == 5
             for k in range(-6, 7):
                 over_m = f.gamma_prime * f.ell + F(f.gamma, f.d) + k * F(n, f.g)
                 pair = f.lambda_pair(k)
-                assert f.lambda_over_m(k) == over_m
+                num, den, tag = f.member(k)
+                assert (num, den) == (pair.lam.numerator, pair.lam.denominator)
+                assert tag is reference_classify_lambda(s, pair).tag
+                a, d, b, dp = f._integers(k)[2]
+                assert (a, d) == (over_m.numerator, over_m.denominator)
+                over_n = pair.lam_star / n
+                assert (b, dp) == (over_n.numerator, over_n.denominator)
                 assert (pair.lam, pair.lam_star) == (m * over_m, 1 - m * over_m)
                 assert pair.lam_star / n == \
                     f.gamma_prime * f.ell_prime + F(f.gamma, f.d) - k * F(m, f.g)
+
+    @pytest.mark.parametrize("mn", [(2, 1), (1, 2), (5, 4), (2, 4)])
+    def test_wrong_gamma_prime_is_caught(self, monkeypatch, mn):
+        """A family built with gamma' off by one fails its self-check.  On
+        S_{2,1} ell = 0, so its members are unchanged and only the witness
+        check can see the fault."""
+        real = lattice.LambdaFamily
+
+        def wrong(**fields):
+            fields["gamma_prime"] += 1
+            return real(**fields)
+
+        monkeypatch.setattr(lattice, "LambdaFamily", wrong)
+        with pytest.raises(CrossCheckError) as info:
+            solve_condition2(Surface(*mn))
+        if mn == (2, 1):
+            assert "verdict" in str(info.value)
 
 
 class TestSuperAbelianity:
