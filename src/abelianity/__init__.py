@@ -56,10 +56,6 @@ from .poisson import (
     f_compact,
     f_kk,
     f_series,
-    f_type_a,
-    f_type_a_series,
-    f_type_b,
-    f_type_b_series,
     params_for_line,
     theta_logderiv_series,
 )

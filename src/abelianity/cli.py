@@ -337,10 +337,9 @@ def _cmd_poisson(args) -> int:
         return 2
     ctx = EllipticContext(N=args.N, q=args.q)
     k, kp = args.kk
-    evaluate = (lambda x: poisson.f_kk(ctx, params, k, kp, x)) \
-        if (k, kp) != (1, 1) else (
-        (lambda x: poisson.f_series(ctx, params, x)) if args.route == "series"
-        else (lambda x: poisson.f_compact(ctx, params, x)))
+    route = poisson.f_series if args.route == "series" else poisson.f_compact
+    evaluate = (lambda x: poisson.f_kk(ctx, params, k, kp, x, route)) \
+        if (k, kp) != (1, 1) else (lambda x: route(ctx, params, x))
     rows = []
     for x in args.grid:
         x_re, x_im = f"{x.real:.17g}", f"{x.imag:.17g}"

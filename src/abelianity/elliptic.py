@@ -371,7 +371,11 @@ def exchange_plan(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,
     if not s.is_whole_surface_abelian() or half_nome is None:
         return ShiftPlan(ctx, modulus, num, den)
     n = s.n if s.m == 0 else s.m
-    if abs(half_nome ** n - ctx.q ** (-ctx.N)) > 1e-9:
+    # s^n = q^-N in log form, n ln s + N ln q in 2 pi i Z: q^-N overflows
+    # for small q, and a tolerance on s^n would scale with it
+    w = (n * cmath.log(half_nome) + ctx.N * math.log(ctx.q)
+         if half_nome != 0 and cmath.isfinite(half_nome) else math.inf)
+    if abs(complex(w.real, math.remainder(w.imag, 2 * math.pi))) > 1e-9:
         raise DomainError(f"half-nome {half_nome} does not satisfy s^{n} = q^-N")
     k = abs(n)
     j = round(cmath.phase(half_nome) * k / (2 * math.pi)) % k

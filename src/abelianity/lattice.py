@@ -31,21 +31,6 @@ class CrossCheckError(Exception):
     """Internal disagreement between two independent classification routes."""
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with x*a + y*b = g = gcd(a,b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, x = x, old_x - qt * x
-        old_y, y = y, old_y - qt * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def _lowest(num: int, den: int) -> tuple[int, int]:
     """num/den in lowest terms with a positive denominator (den != 0)."""
     g = math.gcd(num, den)
@@ -60,14 +45,11 @@ def _bezout_min_second(a: int, b: int) -> tuple[int, int]:
     Requires gcd(a, b) = 1 and a != 0.  The representative with the smallest
     non-negative second coefficient makes golden tests deterministic.
     """
-    g, x, y = _egcd(a, b)
+    g = math.gcd(a, b)
     if g != 1:
         raise ValueError(f"arguments not coprime: gcd({a},{b})={g}")
-    y0 = y % abs(a)
-    k = (y - y0) // a
-    x0 = x + k * b
-    assert x0 * a + y0 * b == 1
-    return x0, y0
+    y = pow(b, -1, abs(a))
+    return (1 - y * b) // a, y
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +136,6 @@ class Verdict(Enum):
     CONDITION2 = "Condition2"
     WHOLE_SURFACE = "WholeSurface"
     EXTENDED_CENTER = "ExtendedCenter"
-    SUPER_ABELIAN = "SuperAbelian"
 
 
 @dataclass(frozen=True)
@@ -194,10 +175,6 @@ class SuperAbelianityVerdict:
     beta0: int | None = None
     beta0_prime: int | None = None
     m_reduced_from: int | None = None  # set when a negative m was mapped to |m|
-
-    @property
-    def tag(self) -> Verdict:
-        return Verdict.SUPER_ABELIAN if self.super_abelian else Verdict.NOT_ABELIAN
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,6 @@ class ExponentMultiset:
     def is_empty(self) -> bool:
         return not self.residues
 
-    def as_dict(self) -> dict[Fraction, int]:
-        return dict(self.entries)
-
 
 def _cycle_remainder(d: int, count: int) -> tuple[range, range]:
     """Multipliers j left of {l a/d : l=1..count} over {-l a/d : l=1..count-1}.

@@ -2,8 +2,8 @@
 
 On an abelianity line the quadratic bracket is {t(z), t(w)} = f(z/w) t t,
 and f is obtained by differentiating the exchange function transverse to
-the line.  Two independent evaluation routes are provided for each line
-type and must agree:
+the line.  Each line type states its terms as two tables, and each
+evaluation route is one loop over its table; the routes must agree:
 
   * the compact route assembles -N lambda ln(q) x d/dx of a weighted sum of
     log U_a factors analytically from the theta log-derivative series;
@@ -29,8 +29,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import DomainError, EllipticContext, PoleError, _DualNome
+from .elliptic import DomainError, EllipticContext, _DualNome
 from .lattice import LambdaPair, Surface, _condition2_d
+
+# A table row (weight, l, k, sign) is one weighted term in the nome
+# q^{2N/l} with shift index k: the compact route takes
+# weight * (ln U(s^k x) + sign ln U(s^-k x)), the series route
+# weight * (D(p^k y^2) + sign D(p^k / y^2)), where s = q^e and p = s^2 for
+# the line's shift exponent e; sign 0 leaves the second term out.
+_Table = list[tuple[float, int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,18 @@ class PoissonParamsA:
         return cls(surface, lam, surface.m // ell, surface.n // ell_star,
                    ell, ell_star)
 
+    def _terms(self, N: int) -> tuple[int, float, _Table, _Table]:
+        """(scale, e, compact, series) of
+
+            f(x) = -N lambda ln(q) x d/dx [ (m/l) ln U_{q^{2N/l}}(x)
+                                          + (n/l*) ln U_{q^{2N/l*}}(x) ],
+
+        whose series I(y) is (m/l) D_{q^{2N/l}}(y^2) + (n/l*) D_{q^{2N/l*}}(y^2);
+        no term is shifted."""
+        compact = [(self.w, self.ell, 0, 0), (self.w_star, self.ell_star, 0, 0)]
+        series = [(self.w, self.ell, 0, 0), (self.w_star, self.ell_star, 0, 0)]
+        return 1, -N * self.lam / self.surface.m, compact, series
+
 
 @dataclass(frozen=True)
 class PoissonParamsB:
@@ -85,10 +104,30 @@ class PoissonParamsB:
                               "an integer with common reduced denominator d | m+n")
         return cls(surface, lam, d, surface.m % d)
 
+    def _terms(self, N: int) -> tuple[int, float, _Table, _Table]:
+        """(scale, e, compact, series) of
 
-# ---------------------------------------------------------------------------
-# series primitives
-# ---------------------------------------------------------------------------
+            f(x) = -N lambda ln(q) ((m+n)/d) x d/dx [
+                      (1 + mu^2/(mn)) ln U_{q^{2N/d}}(x)
+                    - (d mu/(mn)) ln U_{q^{2N}}(x)
+                    + (d/(mn)) sum_{k=1}^{mu-1} (k - mu)
+                          ln( U_{q^{2N}}(s^k x) U_{q^{2N}}(s^-k x) ) ]
+
+        with s = q^e, e = -N lambda/m, and of its triple Lambert sum
+        I(y) = (1 + mu^2/mn) D_{q^{2N/d}}(y^2) + (d mu/mn) D_{q^{2N}}(y^2)
+             + (d/mn) sum_{k=0}^{mu-1} (k - mu) (D_{q^{2N}}(p^k y^2) - D_{q^{2N}}(p^k/y^2))
+        with p = s^2."""
+        m, n, d, mu = self.surface.m, self.surface.n, self.d, self.mu
+        c = d / (m * n)
+        compact = [(1.0 + mu * mu / (m * n), d, 0, 0), (-(d * mu / (m * n)), 1, 0, 0)]
+        compact += [(c * (k - mu), 1, k, 1) for k in range(1, mu)]
+        series = [(1.0 + mu * mu / (m * n), d, 0, 0), (d * mu / (m * n), 1, 0, 0)]
+        series += [(c * (k - mu), 1, k, -1) for k in range(mu)]
+        return (m + n) // d, -N * float(self.lam / m), compact, series
+
+
+PoissonParams = PoissonParamsA | PoissonParamsB
+
 
 def theta_logderiv_series(a: float, x: complex) -> complex:
     """-x d/dx ln theta_a(x), the Lambert-type pair
@@ -105,179 +144,106 @@ def theta_logderiv_series(a: float, x: complex) -> complex:
     return _DualNome(-math.log(a)).logderiv(x)
 
 
-def _nome(ctx: EllipticContext, ell: int) -> _DualNome:
-    """The nome q^{2N/ell}, taken as T = 2N ln(1/q)/ell."""
-    return _DualNome(-2.0 * ctx.N * math.log(ctx.q) / ell)
-
-
-def _u_logderiv(ctx: EllipticContext, nome: _DualNome, x: complex) -> complex:
-    """x d/dx ln U_a(x), assembled analytically.
-
-    Chain rule through the squared arguments gives the factor +-2:
-      x d/dx ln theta_a(c x^2)  = -2 D_a(c x^2),
-      x d/dx ln theta_a(c x^-2) = +2 D_a(c x^-2).
-    """
-    q2 = ctx.q * ctx.q
-    x2 = x * x
-    D = nome.logderiv
-    try:
-        return 2.0 * (D(x2) - D(q2 * x2) + D(q2 / x2) - D(1.0 / x2))
-    except (DomainError, ZeroDivisionError) as exc:  # D_a was handed 0 or inf
-        raise DomainError(_RANGE_REASON.format(ctx.q)) from exc
-
-
 _RANGE_REASON = ("argument must be finite and nonzero: a squared or shifted "
                  "grid argument at q = {:g} lies outside float range")
 
 
-def _shift_powers(ctx: EllipticContext, exponent: float, ks: range) -> list[float]:
-    """s^k for k in ks with s = q^exponent, the argument shifts of type (b).
+def _kernels(ctx: EllipticContext, table: _Table,
+             exponent: float) -> tuple[dict, list[float]]:
+    """The Lambert pair D of each distinct nome q^{2N/l} of the table, the
+    nome taken as T = 2N ln(1/q)/l, and the shifts (q^exponent)^k for
+    k = 0..max k.
 
-    Raises DomainError when s or a power leaves the normal float range;
-    s is not formed when no k is nonzero.
+    Raises DomainError when q^exponent or a power leaves the normal float
+    range; q^exponent is not formed when no row is shifted.
     """
-    if not any(ks):
-        return [1.0] * len(ks)
+    D = {ell: _DualNome(-2.0 * ctx.N * math.log(ctx.q) / ell).logderiv
+         for ell in {row[1] for row in table}}
+    top = max(k for _, _, k, _ in table)
+    if top == 0:
+        return D, [1.0]
     try:
         s = ctx.q ** exponent
-        powers = [s ** k for k in ks]
+        powers = [s ** k for k in range(top + 1)]
     except OverflowError:
         pass
     else:
         # an underflow to 0 or to a subnormal float is silent
         if all(v >= sys.float_info.min for v in powers):
-            return powers
+            return D, powers
     raise DomainError(f"argument shift (q^{exponent:g})^k for k up to "
-                      f"{ks[-1]} lies outside float range")
-
-
-def _second_difference(fn, ctx: EllipticContext, x: complex) -> complex:
-    try:
-        return 2.0 * fn(x) - fn(ctx.q * x) - fn(x / ctx.q)
-    except (DomainError, ZeroDivisionError) as exc:
-        raise DomainError(_RANGE_REASON.format(ctx.q)) from exc
-
-
-# ---------------------------------------------------------------------------
-# type (a)
-# ---------------------------------------------------------------------------
-
-def f_type_a(ctx: EllipticContext, params: PoissonParamsA, x: complex) -> complex:
-    """Compact form, type (a):
-
-    f(x) = -N lambda ln(q) x d/dx [ (m/l) ln U_{q^{2N/l}}(x)
-                                  + (n/l*) ln U_{q^{2N/l*}}(x) ].
-    """
-    a1, a2 = _nome(ctx, params.ell), _nome(ctx, params.ell_star)
-    bracket = (params.surface.m / params.ell) * _u_logderiv(ctx, a1, x) \
-        + (params.surface.n / params.ell_star) * _u_logderiv(ctx, a2, x)
-    return -ctx.N * params.lam * math.log(ctx.q) * bracket
-
-
-def f_type_a_series(ctx: EllipticContext, params: PoissonParamsA,
-                    x: complex) -> complex:
-    """Series form, type (a): f = -2 N lambda ln(q) (2I(x) - I(qx) - I(x/q))
-    with I(x) the weighted pair of Lambert sums in x^2."""
-    D1, D2 = _nome(ctx, params.ell).logderiv, _nome(ctx, params.ell_star).logderiv
-
-    def I(y: complex) -> complex:
-        y2 = y * y
-        return (params.surface.m / params.ell) * D1(y2) \
-            + (params.surface.n / params.ell_star) * D2(y2)
-
-    return -2.0 * ctx.N * params.lam * math.log(ctx.q) \
-        * _second_difference(I, ctx, x)
-
-
-# ---------------------------------------------------------------------------
-# type (b)
-# ---------------------------------------------------------------------------
-
-def f_type_b(ctx: EllipticContext, params: PoissonParamsB, x: complex) -> complex:
-    """Compact form, type (b):
-
-    f(x) = -N lambda ln(q) ((m+n)/d) x d/dx [
-              (1 + mu^2/(mn)) ln U_{q^{2N/d}}(x)
-            - (d mu/(mn)) ln U_{q^{2N}}(x)
-            + (d/(mn)) sum_{k=1}^{mu-1} (k - mu)
-                  ln( U_{q^{2N}}(s^k x) U_{q^{2N}}(s^-k x) ) ]
-
-    with s = q^{-N lambda/m}.
-    """
-    m, n = params.surface.m, params.surface.n
-    d, mu = params.d, params.mu
-    a_d, a_full = _nome(ctx, d), _nome(ctx, 1)
-    ks = range(1, mu)
-    shifts = _shift_powers(ctx, -ctx.N * float(params.lam / m), ks)
-
-    bracket = (1.0 + mu * mu / (m * n)) * _u_logderiv(ctx, a_d, x)
-    bracket -= (d * mu / (m * n)) * _u_logderiv(ctx, a_full, x)
-    for k, sk in zip(ks, shifts):
-        term = _u_logderiv(ctx, a_full, sk * x) \
-            + _u_logderiv(ctx, a_full, x / sk)
-        bracket += (d / (m * n)) * (k - mu) * term
-    pref = -ctx.N * float(params.lam) * math.log(ctx.q) * (m + n) / d
-    return pref * bracket
-
-
-def f_type_b_series(ctx: EllipticContext, params: PoissonParamsB,
-                    x: complex) -> complex:
-    """Series form, type (b): the triple Lambert sum with weights
-    (1 + mu^2/mn), d mu/mn and (d/mn)(k - mu) over k = 0..mu-1, combined as
-    f = -2 N lambda ln(q) ((m+n)/d) (2I(x) - I(qx) - I(x/q))."""
-    m, n = params.surface.m, params.surface.n
-    d, mu = params.d, params.mu
-    D_d, D_full = _nome(ctx, d).logderiv, _nome(ctx, 1).logderiv
-    ks = range(mu)
-    shifts = _shift_powers(ctx, -2.0 * ctx.N * float(params.lam / m), ks)
-
-    def I(y: complex) -> complex:
-        y2 = y * y
-        total = (1.0 + mu * mu / (m * n)) * D_d(y2)
-        total += (d * mu / (m * n)) * D_full(y2)
-        for k, pk in zip(ks, shifts):
-            ksum = D_full(pk * y2) - D_full(pk / y2)
-            total += (d / (m * n)) * (k - mu) * ksum
-        return total
-
-    pref = -2.0 * ctx.N * float(params.lam) * math.log(ctx.q) * (m + n) / d
-    return pref * _second_difference(I, ctx, x)
-
-
-# ---------------------------------------------------------------------------
-# dispatch and multi-index bracket
-# ---------------------------------------------------------------------------
-
-PoissonParams = PoissonParamsA | PoissonParamsB
+                      f"{top} lies outside float range")
 
 
 def f_compact(ctx: EllipticContext, params: PoissonParams, x: complex) -> complex:
-    if isinstance(params, PoissonParamsA):
-        return f_type_a(ctx, params, x)
-    return f_type_b(ctx, params, x)
+    """Compact route: f(x) = -N lambda ln(q) scale x d/dx sum weight
+    (ln U_{q^{2N/l}}(s^k x) + sign ln U_{q^{2N/l}}(s^-k x)) over the line's
+    compact table.
+
+    The chain rule through the squared arguments of U_a gives
+      x d/dx ln U_a(y) = 2 (D_a(y^2) - D_a(q^2 y^2) + D_a(q^2/y^2) - D_a(1/y^2)).
+    """
+    scale, e, table, _ = params._terms(ctx.N)
+    D, shifts = _kernels(ctx, table, e)
+    q2 = ctx.q * ctx.q
+
+    def u(Da, y: complex) -> complex:
+        y2 = y * y
+        return 2.0 * (Da(y2) - Da(q2 * y2) + Da(q2 / y2) - Da(1.0 / y2))
+
+    total = 0.0 + 0.0j
+    try:
+        for weight, ell, k, sign in table:
+            term = u(D[ell], x * shifts[k])
+            if sign:
+                term += sign * u(D[ell], x / shifts[k])
+            total += weight * term
+    except (DomainError, ZeroDivisionError) as exc:  # D_a was handed 0 or inf
+        raise DomainError(_RANGE_REASON.format(ctx.q)) from exc
+    return -ctx.N * float(params.lam) * math.log(ctx.q) * scale * total
 
 
 def f_series(ctx: EllipticContext, params: PoissonParams, x: complex) -> complex:
-    if isinstance(params, PoissonParamsA):
-        return f_type_a_series(ctx, params, x)
-    return f_type_b_series(ctx, params, x)
+    """Series route: f = -2 N lambda ln(q) scale (2 I(x) - I(qx) - I(x/q))
+    with I(y) = sum weight (D_{q^{2N/l}}(p^k y^2) + sign D_{q^{2N/l}}(p^k/y^2))
+    over the line's series table, p = q^{2e}."""
+    scale, e, _, table = params._terms(ctx.N)
+    D, shifts = _kernels(ctx, table, 2.0 * e)
 
+    def I(y: complex) -> complex:
+        y2 = y * y
+        total = 0.0 + 0.0j
+        for weight, ell, k, sign in table:
+            term = D[ell](shifts[k] * y2)
+            if sign:
+                term += sign * D[ell](shifts[k] / y2)
+            total += weight * term
+        return total
 
-def _half_index_range(k: int) -> list[Fraction]:
-    # (1-k)/2, (3-k)/2, ..., (k-1)/2 in integer steps
-    return [Fraction(1 - k, 2) + r for r in range(k)]
+    try:
+        second = 2.0 * I(x) - I(ctx.q * x) - I(x / ctx.q)
+    except (DomainError, ZeroDivisionError) as exc:
+        raise DomainError(_RANGE_REASON.format(ctx.q)) from exc
+    return -2.0 * ctx.N * float(params.lam) * math.log(ctx.q) * scale * second
 
 
 def f_kk(ctx: EllipticContext, params: PoissonParams, k: int, kp: int,
-         x: complex) -> complex:
-    """Multi-index structure function
-    f^{(k,k')}(x) = sum_i sum_j f(q^{i-j} x) over the half-integer ranges."""
+         x: complex, route=f_compact) -> complex:
+    """Multi-index structure function f^{(k,k')}(x) = sum_i sum_j f(q^{i-j} x)
+    over i = (1-k)/2, ..., (k-1)/2 and j = (1-k')/2, ..., (k'-1)/2 in integer
+    steps, with f evaluated by `route` (`f_compact` or `f_series`).
+
+    i - j = (k'-k)/2 + u takes the k + k' - 1 values u = 1-k'..k-1, each
+    min(k, k'+u) - max(0, u) times, so each distinct shift is evaluated once,
+    in the order the double sum first reaches it (a pole is reported at the
+    same point).
+    """
     if not (1 <= k <= ctx.N and 1 <= kp <= ctx.N):
         raise DomainError(f"k, k' must lie in 1..N={ctx.N}")
     total = 0.0 + 0.0j
-    for i in _half_index_range(k):
-        for j in _half_index_range(kp):
-            total += f_compact(ctx, params, ctx.q ** float(i - j) * x)
+    for u in (*range(0, -kp, -1), *range(1, k)):
+        total += (min(k, kp + u) - max(0, u)) \
+            * route(ctx, params, ctx.q ** ((kp - k) / 2 + u) * x)
     return total
 
 

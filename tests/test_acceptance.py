@@ -26,10 +26,8 @@ from abelianity import (
     classify_intersection,
     classify_lambda,
     exchange_exponents,
-    f_type_a,
-    f_type_a_series,
-    f_type_b,
-    f_type_b_series,
+    f_compact,
+    f_series,
     intersect_surfaces,
     is_abelian,
     lambda_of_intersection,
@@ -250,14 +248,14 @@ def test_criterion_7_poisson_routes():
     worst_route = 0.0
     worst_anti = 0.0
     for x in verification_grid():
-        fa, fas = f_type_a(ctx, pa, x), f_type_a_series(ctx, pa, x)
-        fb, fbs = f_type_b(ctx, pb, x), f_type_b_series(ctx, pb, x)
+        fa, fas = f_compact(ctx, pa, x), f_series(ctx, pa, x)
+        fb, fbs = f_compact(ctx, pb, x), f_series(ctx, pb, x)
         worst_route = max(worst_route,
                           abs(fa - fas) / (1 + abs(fa)),
                           abs(fb - fbs) / (1 + abs(fb)))
         worst_anti = max(worst_anti,
-                         abs(f_type_a(ctx, pa, x) + f_type_a(ctx, pa, 1 / x)),
-                         abs(f_type_b(ctx, pb, x) + f_type_b(ctx, pb, 1 / x)))
+                         abs(f_compact(ctx, pa, x) + f_compact(ctx, pa, 1 / x)),
+                         abs(f_compact(ctx, pb, x) + f_compact(ctx, pb, 1 / x)))
 
     # finite differences against the log of the product form (type b; the
     # type-a line (3,6) has ell = N where the bracket is identically zero)
@@ -274,13 +272,13 @@ def test_criterion_7_poisson_routes():
     x0, h = 1.31, 1e-6
     fd = (logP(x0 * math.exp(h)) - logP(x0 * math.exp(-h))) / (2 * h)
     pref = -ctx.N * float(pb.lam) * math.log(ctx.q) * (m + n) / d
-    fd_err = abs(fd - f_type_b(ctx, pb, x0) / pref) / (1 + abs(fd))
+    fd_err = abs(fd - f_compact(ctx, pb, x0) / pref) / (1 + abs(fd))
 
     pao = PoissonParamsA.from_line(Surface(2, 4), -1)
     pbo = PoissonParamsB.from_line(Surface(2, 4), F(-1))
     worst_overlap = max(
-        abs(f_type_a(ctx, pao, x) - f_type_b(ctx, pbo, x))
-        / (1 + abs(f_type_a(ctx, pao, x))) for x in verification_grid())
+        abs(f_compact(ctx, pao, x) - f_compact(ctx, pbo, x))
+        / (1 + abs(f_compact(ctx, pao, x))) for x in verification_grid())
     elapsed = time.perf_counter() - t0
     report("criterion 7 (Poisson route equivalence)",
            worst_route < 1e-8 and worst_anti < 1e-9 and fd_err < 1e-6

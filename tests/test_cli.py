@@ -273,6 +273,25 @@ class TestPoissonCommand:
         for rc_, rs in zip(rows_c, rows_s):
             assert abs(float(rc_[2]) - float(rs[2])) < 1e-8
 
+    def test_multi_index_takes_the_route(self, capsys):
+        from abelianity import (EllipticContext, LambdaPair, f_kk, f_series,
+                                params_for_line)
+        argv = ["poisson", "--surface=1,2", "--lambda=1/3", "--q=0.6", "--kk=2,3"]
+        rows = {}
+        for route in ("compact", "series"):
+            rc, out = run(capsys, *argv, f"--route={route}")
+            assert rc == 0
+            rows[route] = [[float(v) for v in r.split(",")]
+                           for r in out.strip().split("\n")[1:]]
+        ctx = EllipticContext(N=3, q=0.6)
+        params = params_for_line(Surface(1, 2), LambdaPair.from_lambda(F(1, 3)))
+        assert len(rows["series"]) == 20
+        for c, s in zip(rows["compact"], rows["series"]):
+            expect = f_kk(ctx, params, 2, 3, complex(*s[:2]), f_series)
+            assert complex(*s[2:]) == expect
+            assert abs(complex(*c[2:]) - expect) <= 1e-8 * (1 + abs(expect))
+        assert rows["compact"] != rows["series"]
+
     @pytest.mark.parametrize("surface", ["1,1", "7,1"])
     def test_nome_below_float_range(self, capsys, surface):
         # the nome q^6 = 1e-360 underflows; it is taken as T = 6 ln(1/q)

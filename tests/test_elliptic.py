@@ -389,6 +389,29 @@ class TestY:
         with pytest.raises(DomainError):
             yfunc(CTX, Surface(0, 3), None, 0.8, half_nome=1.23)
 
+    @pytest.mark.parametrize("q", [0.6, 1e-2, 1e-4])
+    @pytest.mark.parametrize("s", [Surface(0, 3), Surface(0, -4), Surface(5, 0)])
+    def test_every_half_nome_root_accepted_at_small_q(self, s, q):
+        # s^n = q^-N is checked in log form: an absolute tolerance on s^n
+        # refused the non-real roots at q = 0.01 and every root at 1e-4
+        ctx = EllipticContext(N=3, q=q)
+        n = s.n if s.m == 0 else s.m
+        roots = admissible_half_nome_roots(ctx, n)
+        for root in roots:
+            y = exchange_plan(ctx, s, None, half_nome=root)(0.9 + 0.35j)
+            assert abs(y - 1.0) < 1e-12
+        off = roots[0] * cmath.exp(1j * math.pi / abs(n))  # half a step off
+        with pytest.raises(DomainError):
+            exchange_plan(ctx, s, None, half_nome=off)
+
+    @pytest.mark.parametrize("half_nome", [0, 1e300, complex(math.inf, 0)])
+    def test_half_nome_at_tiny_q_is_a_domain_error(self, half_nome):
+        # q^-N = 1e900 overflows a float, so the root check must not form
+        # it; 1e300 is the real root, whose U values lie outside float range
+        ctx = EllipticContext(N=3, q=1e-300)
+        with pytest.raises(DomainError):
+            yfunc(ctx, Surface(0, 3), None, 0.8, half_nome=half_nome)
+
     def test_perturbed_line_detected(self):
         lam = LambdaPair.from_lambda(F(-2, 3) + F(1, 100))
         worst = 0.0

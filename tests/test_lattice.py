@@ -758,3 +758,40 @@ class TestReferenceConstructionsOnWalk:
             # collinear with the walk's step through s, and realizing lam
             assert (w.m - s.m) * dn == (w.n - s.n) * dm
             assert lambda_of_intersection(s, w) == lam
+
+
+def reference_egcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended Euclid: (g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r != 0:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_x, x = x, old_x - qt * x
+        old_y, y = y, old_y - qt * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def reference_bezout_min_second(a: int, b: int) -> tuple[int, int]:
+    """The egcd pair moved to 0 <= y < |a| along (x + k b, y - k a)."""
+    g, x, y = reference_egcd(a, b)
+    if g != 1:
+        raise ValueError(f"arguments not coprime: gcd({a},{b})={g}")
+    y0 = y % abs(a)
+    return x + (y - y0) // a * b, y0
+
+
+class TestBezoutPair:
+    @given(st.integers(-60, 60).filter(bool), st.integers(-60, 60))
+    @settings(max_examples=500)
+    def test_matches_egcd_reference(self, a, b):
+        if math.gcd(a, b) != 1:
+            with pytest.raises(ValueError, match="not coprime"):
+                _bezout_min_second(a, b)
+            return
+        x, y = _bezout_min_second(a, b)
+        assert (x, y) == reference_bezout_min_second(a, b)
+        assert x * a + y * b == 1 and 0 <= y < abs(a)

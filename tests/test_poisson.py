@@ -1,9 +1,11 @@
 """Poisson structure function tests: the dual-nome log-derivative against
-the nome series, route equivalence (near q = 1 too), antisymmetry,
+the nome series, the table-driven routes against the per-type reference
+formulas, route equivalence (near q = 1 too), antisymmetry,
 finite-difference oracles, the case overlap, and the multi-index bracket."""
 
 import cmath
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -21,12 +23,9 @@ from abelianity import (
     f_compact,
     f_kk,
     f_series,
-    f_type_a,
-    f_type_a_series,
-    f_type_b,
-    f_type_b_series,
     params_for_line,
     theta_logderiv_series,
+    solve_condition2,
     ufunc_a,
     verification_grid,
 )
@@ -45,6 +44,151 @@ PB2 = PoissonParamsB.from_line(Surface(5, 4), F(-25, 3))
 
 def rel_err(a, b):
     return abs(a - b) / (1.0 + abs(a))
+
+
+# Reference: the four per-type formulas and the double loop of the
+# multi-index bracket, each written out on its own.  The table-driven
+# routes must reproduce them.
+
+_REF_RANGE_REASON = ("argument must be finite and nonzero: a squared or shifted "
+                     "grid argument at q = {:g} lies outside float range")
+
+
+def _ref_nome(ctx, ell):
+    return _DualNome(-2.0 * ctx.N * math.log(ctx.q) / ell)
+
+
+def _ref_u_logderiv(ctx, nome, x):
+    q2 = ctx.q * ctx.q
+    x2 = x * x
+    D = nome.logderiv
+    try:
+        return 2.0 * (D(x2) - D(q2 * x2) + D(q2 / x2) - D(1.0 / x2))
+    except (DomainError, ZeroDivisionError) as exc:
+        raise DomainError(_REF_RANGE_REASON.format(ctx.q)) from exc
+
+
+def _ref_shift_powers(ctx, exponent, ks):
+    if not any(ks):
+        return [1.0] * len(ks)
+    try:
+        s = ctx.q ** exponent
+        powers = [s ** k for k in ks]
+    except OverflowError:
+        pass
+    else:
+        if all(v >= sys.float_info.min for v in powers):
+            return powers
+    raise DomainError(f"argument shift (q^{exponent:g})^k for k up to "
+                      f"{ks[-1]} lies outside float range")
+
+
+def _ref_second_difference(fn, ctx, x):
+    try:
+        return 2.0 * fn(x) - fn(ctx.q * x) - fn(x / ctx.q)
+    except (DomainError, ZeroDivisionError) as exc:
+        raise DomainError(_REF_RANGE_REASON.format(ctx.q)) from exc
+
+
+def reference_f_type_a(ctx, params, x):
+    """f(x) = -N lambda ln(q) x d/dx [ (m/l) ln U_{q^{2N/l}}(x)
+                                     + (n/l*) ln U_{q^{2N/l*}}(x) ]."""
+    a1, a2 = _ref_nome(ctx, params.ell), _ref_nome(ctx, params.ell_star)
+    bracket = (params.surface.m / params.ell) * _ref_u_logderiv(ctx, a1, x) \
+        + (params.surface.n / params.ell_star) * _ref_u_logderiv(ctx, a2, x)
+    return -ctx.N * params.lam * math.log(ctx.q) * bracket
+
+
+def reference_f_type_a_series(ctx, params, x):
+    """f = -2 N lambda ln(q) (2I(x) - I(qx) - I(x/q)), I the weighted pair
+    of Lambert sums in x^2."""
+    D1 = _ref_nome(ctx, params.ell).logderiv
+    D2 = _ref_nome(ctx, params.ell_star).logderiv
+
+    def I(y):
+        y2 = y * y
+        return (params.surface.m / params.ell) * D1(y2) \
+            + (params.surface.n / params.ell_star) * D2(y2)
+
+    return -2.0 * ctx.N * params.lam * math.log(ctx.q) \
+        * _ref_second_difference(I, ctx, x)
+
+
+def reference_f_type_b(ctx, params, x):
+    """f(x) = -N lambda ln(q) ((m+n)/d) x d/dx [
+          (1 + mu^2/(mn)) ln U_{q^{2N/d}}(x) - (d mu/(mn)) ln U_{q^{2N}}(x)
+        + (d/(mn)) sum_{k=1}^{mu-1} (k - mu) ln(U_{q^{2N}}(s^k x) U_{q^{2N}}(s^-k x)) ]
+    with s = q^{-N lambda/m}."""
+    m, n = params.surface.m, params.surface.n
+    d, mu = params.d, params.mu
+    a_d, a_full = _ref_nome(ctx, d), _ref_nome(ctx, 1)
+    ks = range(1, mu)
+    shifts = _ref_shift_powers(ctx, -ctx.N * float(params.lam / m), ks)
+    bracket = (1.0 + mu * mu / (m * n)) * _ref_u_logderiv(ctx, a_d, x)
+    bracket -= (d * mu / (m * n)) * _ref_u_logderiv(ctx, a_full, x)
+    for k, sk in zip(ks, shifts):
+        term = _ref_u_logderiv(ctx, a_full, sk * x) \
+            + _ref_u_logderiv(ctx, a_full, x / sk)
+        bracket += (d / (m * n)) * (k - mu) * term
+    pref = -ctx.N * float(params.lam) * math.log(ctx.q) * (m + n) / d
+    return pref * bracket
+
+
+def reference_f_type_b_series(ctx, params, x):
+    """The triple Lambert sum with weights (1 + mu^2/mn), d mu/mn and
+    (d/mn)(k - mu) over k = 0..mu-1, combined as
+    f = -2 N lambda ln(q) ((m+n)/d) (2I(x) - I(qx) - I(x/q))."""
+    m, n = params.surface.m, params.surface.n
+    d, mu = params.d, params.mu
+    D_d, D_full = _ref_nome(ctx, d).logderiv, _ref_nome(ctx, 1).logderiv
+    ks = range(mu)
+    shifts = _ref_shift_powers(ctx, -2.0 * ctx.N * float(params.lam / m), ks)
+
+    def I(y):
+        y2 = y * y
+        total = (1.0 + mu * mu / (m * n)) * D_d(y2)
+        total += (d * mu / (m * n)) * D_full(y2)
+        for k, pk in zip(ks, shifts):
+            total += (d / (m * n)) * (k - mu) * (D_full(pk * y2) - D_full(pk / y2))
+        return total
+
+    pref = -2.0 * ctx.N * float(params.lam) * math.log(ctx.q) * (m + n) / d
+    return pref * _ref_second_difference(I, ctx, x)
+
+
+REFERENCE = {
+    (PoissonParamsA, f_compact): reference_f_type_a,
+    (PoissonParamsA, f_series): reference_f_type_a_series,
+    (PoissonParamsB, f_compact): reference_f_type_b,
+    (PoissonParamsB, f_series): reference_f_type_b_series,
+}
+
+
+def reference_f_kk(ctx, params, k, kp, x, route=f_compact):
+    """sum_i sum_j f(q^{i-j} x) over the half-integer index ranges, term by term."""
+    if not (1 <= k <= ctx.N and 1 <= kp <= ctx.N):
+        raise DomainError(f"k, k' must lie in 1..N={ctx.N}")
+    total = 0.0 + 0.0j
+    for i in [F(1 - k, 2) + r for r in range(k)]:
+        for j in [F(1 - kp, 2) + r for r in range(kp)]:
+            total += route(ctx, params, ctx.q ** float(i - j) * x)
+    return total
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, PoleError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, expect, tol):
+    if isinstance(expect, tuple):
+        assert got == expect
+    else:
+        assert not isinstance(got, tuple), got
+        assert abs(got - expect) <= tol * (1.0 + abs(expect))
 
 
 # Reference: the Lambert pair summed term by term in the nome a itself.  It
@@ -268,6 +412,74 @@ class TestParams:
                           PoissonParamsB)
 
 
+@st.composite
+def poisson_lines(draw):
+    """Params of a type (a) or type (b) line on S(m, n), |m|, |n| <= 12."""
+    m = draw(st.integers(-12, 12).filter(bool))
+    n = draw(st.integers(-12, 12).filter(bool))
+    s = Surface(m, n)
+    families = solve_condition2(s) if m + n else []
+    if families and draw(st.booleans()):
+        family = draw(st.sampled_from(families))
+        lam = family.lambda_pair(draw(st.integers(-2, 2))).lam
+        return PoissonParamsB.from_line(s, lam)
+    return PoissonParamsA.from_line(s, draw(st.integers(-6, 6).filter(
+        lambda v: v not in (0, 1))))
+
+
+nomes = st.floats(-6.0, math.log10(0.99)).map(lambda e: 10.0 ** e)
+
+
+class TestTablesMatchReference:
+    @settings(max_examples=250, deadline=None)
+    @given(params=poisson_lines(), q=nomes, N=st.sampled_from([2, 3, 4]),
+           route=st.sampled_from([f_compact, f_series]))
+    def test_route_matches_per_type_formula(self, params, q, N, route):
+        ctx = EllipticContext(N=N, q=q)
+        reference = REFERENCE[type(params), route]
+        for x in verification_grid():
+            assert_same_outcome(outcome(route, ctx, params, x),
+                                outcome(reference, ctx, params, x), 1e-12)
+
+    def test_lines_with_long_shift_sums(self):
+        # mu >= 3 puts at least two shifted pairs into each table
+        lines = [(Surface(-9, 1), F(-9, 4)), (Surface(-12, 3), F(-8, 3)),
+                 (Surface(-10, 1), F(-10, 9))]
+        mus = []
+        for s, lam in lines:
+            params = params_for_line(s, LambdaPair.from_lambda(lam))
+            mus.append(params.mu)
+            for route in (f_compact, f_series):
+                for x in verification_grid():
+                    assert_same_outcome(outcome(route, CTX, params, x),
+                                        outcome(REFERENCE[type(params), route],
+                                                CTX, params, x), 1e-12)
+        assert min(mus) >= 3
+
+    @settings(max_examples=120, deadline=None)
+    @given(params=poisson_lines(), q=nomes, N=st.sampled_from([2, 3, 4]),
+           route=st.sampled_from([f_compact, f_series]), data=st.data())
+    def test_multi_index_matches_double_loop(self, params, q, N, route, data):
+        ctx = EllipticContext(N=N, q=q)
+        k = data.draw(st.integers(1, N))
+        kp = data.draw(st.integers(1, N))
+        for x in verification_grid(count=6):
+            got = outcome(f_kk, ctx, params, k, kp, x, route)
+            expect = outcome(reference_f_kk, ctx, params, k, kp, x, route)
+            if isinstance(expect, tuple):
+                assert got == expect
+            else:
+                # the sum can cancel far below its terms (to 1e-10 from terms
+                # of 1e6), so the two summation orders agree to the rounding
+                # of the terms: bound by 1 + sum of |f(q^{i-j} x)|
+                size = reference_f_kk(ctx, params, k, kp, x,
+                                      lambda c, p, y: abs(route(c, p, y))).real
+                assert abs(got - expect) <= 1e-12 * (1.0 + size)
+            if (k, kp) == (1, 1):
+                assert outcome(f_kk, ctx, params, 1, 1, x, route) \
+                    == outcome(route, ctx, params, x)
+
+
 class TestRouteEquivalence:
     # S(p,1) with lambda = 2 has l = p: weight nomes q^(6/p) as close as
     # 6e-6 to 1, where a nome series needs up to 6e6 terms; (5,9) with
@@ -319,27 +531,27 @@ class TestRouteEquivalence:
     @pytest.mark.parametrize("params", [PA_FLAT, PA], ids=["3,6:-1", "5,2:2"])
     def test_type_a(self, params):
         for x in verification_grid():
-            fa = f_type_a(CTX, params, x)
-            fs = f_type_a_series(CTX, params, x)
+            fa = f_compact(CTX, params, x)
+            fs = f_series(CTX, params, x)
             assert rel_err(fa, fs) < 1e-8
 
     @pytest.mark.parametrize("params", [PB, PB2], ids=["1,2:1/3", "5,4:-25/3"])
     def test_type_b(self, params):
         for x in verification_grid():
-            fb = f_type_b(CTX, params, x)
-            fs = f_type_b_series(CTX, params, x)
+            fb = f_compact(CTX, params, x)
+            fs = f_series(CTX, params, x)
             assert rel_err(fb, fs) < 1e-8
 
     def test_nonvanishing_case(self):
         # (3,6) at N=3 has ell = N, where U_{q^2} is constant and f == 0;
         # keep a case with structure
-        assert abs(f_type_a(CTX, PA, 1.31)) > 1e-3
-        assert abs(f_type_b(CTX, PB, 1.31)) > 1e-3
+        assert abs(f_compact(CTX, PA, 1.31)) > 1e-3
+        assert abs(f_compact(CTX, PB, 1.31)) > 1e-3
 
 
 class TestAntisymmetry:
     @pytest.mark.parametrize("fn,params", [
-        (f_type_a, PA), (f_type_a, PA_FLAT), (f_type_b, PB), (f_type_b, PB2),
+        (f_compact, PA), (f_compact, PA_FLAT), (f_compact, PB), (f_compact, PB2),
     ], ids=["a", "a-flat", "b", "b-mu2"])
     def test_f_inversion(self, fn, params):
         for x in (1.31, 0.8 + 0.3j, 1.1 - 0.6j):
@@ -351,16 +563,16 @@ class TestSeriesStructure:
         # mu=1: the k-sum in the compact form is empty; the series form
         # carries only k=0, which merges with the -d mu/(mn) weight
         for x in (1.31, 0.9 + 0.2j):
-            assert rel_err(f_type_b(CTX, PB, x), f_type_b_series(CTX, PB, x)) < 1e-10
+            assert rel_err(f_compact(CTX, PB, x), f_series(CTX, PB, x)) < 1e-10
 
     def test_valid_at_unit_m(self):
         # formulas remain valid when |m| = 1
-        val = f_type_b(CTX, PB, 1.31)
+        val = f_compact(CTX, PB, 1.31)
         assert cmath.isfinite(val)
 
     def test_zero_lambda_prefactor(self):
         params = PoissonParamsA(Surface(3, 6), 0, w=1, w_star=2, ell=3, ell_star=3)
-        assert f_type_a_series(CTX, params, 1.31) == 0
+        assert f_series(CTX, params, 1.31) == 0
 
 
 class TestOverlap:
@@ -371,7 +583,7 @@ class TestOverlap:
         pb = PoissonParamsB.from_line(Surface(2, 4), F(-1))
         assert (pa.ell, pa.ell_star, pb.d, pb.mu) == (2, 2, 2, 0)
         for x in verification_grid():
-            assert rel_err(f_type_a(CTX, pa, x), f_type_b(CTX, pb, x)) < 1e-8
+            assert rel_err(f_compact(CTX, pa, x), f_compact(CTX, pb, x)) < 1e-8
 
 
 class TestFiniteDifferenceAssembly:
@@ -392,7 +604,7 @@ class TestFiniteDifferenceAssembly:
 
         x = 1.31
         fd = self._fd_log_derivative(logP, x)
-        analytic = f_type_a(CTX, params, x) / (-CTX.N * params.lam * math.log(CTX.q))
+        analytic = f_compact(CTX, params, x) / (-CTX.N * params.lam * math.log(CTX.q))
         assert abs(fd - analytic) / (1 + abs(analytic)) < 1e-6
 
     def test_type_b_bracket(self):
@@ -414,19 +626,19 @@ class TestFiniteDifferenceAssembly:
         x = 1.31
         fd = self._fd_log_derivative(logP, x)
         pref = -CTX.N * float(params.lam) * math.log(CTX.q) * (m + n) / d
-        analytic = f_type_b(CTX, params, x) / pref
+        analytic = f_compact(CTX, params, x) / pref
         assert abs(fd - analytic) / (1 + abs(analytic)) < 1e-6
 
 
 class TestMultiIndex:
     def test_rank_one_is_f(self):
-        assert f_kk(CTX, PA, 1, 1, 1.31) == f_type_a(CTX, PA, 1.31)
+        assert f_kk(CTX, PA, 1, 1, 1.31) == f_compact(CTX, PA, 1.31)
 
     def test_rank_two_expansion(self):
         x = 1.31
         got = f_kk(CTX, PA, 2, 2, x)
-        expect = 2 * f_type_a(CTX, PA, x) + f_type_a(CTX, PA, CTX.q * x) \
-            + f_type_a(CTX, PA, x / CTX.q)
+        expect = 2 * f_compact(CTX, PA, x) + f_compact(CTX, PA, CTX.q * x) \
+            + f_compact(CTX, PA, x / CTX.q)
         assert abs(got - expect) < 1e-12 * max(1.0, abs(expect))
 
     def test_bracket_antisymmetry(self):
@@ -439,6 +651,14 @@ class TestMultiIndex:
         with pytest.raises(DomainError):
             f_kk(CTX, PA, 0, 1, 1.31)
 
+    @pytest.mark.parametrize("k,kp", [(2, 3), (3, 2), (3, 3)])
+    def test_pole_named_as_in_double_loop(self, k, kp):
+        # at x = 1 several shifts q^u x sit on poles; the error names the
+        # one the double sum reaches first
+        got = outcome(f_kk, CTX, PA, k, kp, 1.0)
+        assert got[0] is PoleError
+        assert got == outcome(reference_f_kk, CTX, PA, k, kp, 1.0)
+
 
 class TestSignConventions:
     def test_simultaneous_sign_flip_invariance(self):
@@ -450,8 +670,8 @@ class TestSignConventions:
                                  -params.lam, w=-params.w, w_star=-params.w_star,
                                  ell=params.ell, ell_star=params.ell_star)
         for x in (1.31, 0.8 + 0.3j):
-            f0 = f_type_a(CTX, params, x)
-            assert abs(f_type_a(CTX, flipped, x) - f0) < 1e-10 * max(1.0, abs(f0))
+            f0 = f_compact(CTX, params, x)
+            assert abs(f_compact(CTX, flipped, x) - f0) < 1e-10 * max(1.0, abs(f0))
 
 
 class TestPrefactorScaling:
@@ -461,6 +681,6 @@ class TestPrefactorScaling:
         p4 = PoissonParamsA.from_line(Surface(5, 5), 4)
         assert (p2.ell, p2.ell_star) == (p4.ell, p4.ell_star) == (5, 5)
         x = 1.31
-        f2 = f_type_a(CTX, p2, x)
+        f2 = f_compact(CTX, p2, x)
         assert abs(f2) > 1e-6
-        assert abs(f_type_a(CTX, p4, x) - 2 * f2) < 1e-10 * abs(f2)
+        assert abs(f_compact(CTX, p4, x) - 2 * f2) < 1e-10 * abs(f2)
