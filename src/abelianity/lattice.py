@@ -187,10 +187,10 @@ class LambdaFamily:
     classification (integer_degenerate is True).  A member is formed over
     the common denominator d g as one integer numerator
     (gamma'*ell*d + gamma) g + k n d and classified on integers; only
-    `lambda_pair` makes `Fraction`s.  Construction checks members k = -2..2
-    against the raw condition-2 predicate and the expected verdict
-    (Condition2 with witnesses (d, gamma, gamma', g), or IntegerLambda when
-    integer-degenerate), raising CrossCheckError, and keeps them in `checked`.
+    `lambda_pair` makes `Fraction`s.  Construction checks members k = -2..2,
+    kept in `checked`, on integers: the condition-2 predicate must give d and
+    the verdict core (Condition2, (d, gamma, gamma', g)), or (IntegerLambda,
+    None) when integer-degenerate; else it raises CrossCheckError.
     """
 
     surface: Surface
@@ -205,30 +205,32 @@ class LambdaFamily:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        expected = AbelianityVerdict(Verdict.INTEGER_LAMBDA) \
-            if self.integer_degenerate else AbelianityVerdict(
-                Verdict.CONDITION2,
-                Witnesses(self.d, self.gamma, self.gamma_prime, self.g))
+        m, n = self.surface.m, self.surface.n
+        expected = (Verdict.INTEGER_LAMBDA, None) if self.integer_degenerate \
+            else (Verdict.CONDITION2, (self.d, self.gamma, self.gamma_prime, self.g))
         checked = []
         for k in range(-2, 3):
             num, den, reduced = self._integers(k)
-            if _condition2_reduced(self.surface, *reduced) != self.d:
+            if _condition2_reduced(m, n, *reduced) != self.d:
                 raise CrossCheckError(f"family {self} member k={k} fails condition 2")
-            verdict = _classify_reduced(self.surface, *reduced)
+            verdict = _classify_reduced(m, n, *reduced)
             if verdict != expected:
                 raise CrossCheckError(
                     f"family {self} member k={k}: verdict {verdict} != {expected}")
-            checked.append((num, den, verdict.tag))
+            checked.append((num, den, verdict[0]))
         object.__setattr__(self, "checked", tuple(checked))
 
     def _integers(self, k: int) -> tuple[int, int, tuple[int, int, int, int]]:
         """Member k as lambda = num/den and (a, d, b, d') with lambda/m = a/d
-        and lambda*/n = b/d', all in lowest terms with positive denominators."""
-        dg, n = self.d * self.g, self.surface.n
+        and lambda*/n = b/d', all in lowest terms with positive denominators;
+        gcd(m a, d) = gcd(m, d) and gcd(den - num, den n) = gcd(den - num, n)."""
+        m, n, dg = self.surface.m, self.surface.n, self.d * self.g
         over_m = (self.gamma_prime * self.ell * self.d + self.gamma) * self.g \
             + k * n * self.d
-        lam = self.surface.m * over_m
-        return *_lowest(lam, dg), (*_lowest(over_m, dg), *_lowest(dg - lam, dg * n))
+        a, d = over_m // (r := math.gcd(over_m, dg)), dg // r
+        num, den = m * a // (r := math.gcd(m, d)), d // r
+        r = math.gcd(den - num, n) if n > 0 else -math.gcd(den - num, n)
+        return num, den, (a, d, (den - num) // r, den * n // r)
 
     def member(self, k: int) -> tuple[int, int, Verdict]:
         """(numerator, denominator, tag) of member k, lambda in lowest terms;
@@ -236,7 +238,7 @@ class LambdaFamily:
         if -2 <= k <= 2:
             return self.checked[k + 2]
         num, den, reduced = self._integers(k)
-        return num, den, _classify_reduced(self.surface, *reduced).tag
+        return num, den, _classify_reduced(self.surface.m, self.surface.n, *reduced)[0]
 
     def lambda_pair(self, k: int) -> LambdaPair:
         num, den, _ = self._integers(k)
@@ -288,13 +290,19 @@ def lambda_of_intersection(s1: Surface, s2: Surface) -> LambdaPair:
 
 def _walk_line(line: LineParams, s1: Surface, s2: Surface,
                step: tuple[int, int], t_values: Iterable[int]) -> list[Surface]:
-    """The surfaces s2 + t*step for t in t_values, each re-verified to carry
-    `line` by intersecting it with s1 (with s2 when it is s1 itself)."""
+    """The surfaces w = s2 + t*step for t in t_values, each re-verified to
+    carry `line` as `intersect_surfaces(o, w) == line` (o = s1, or s2 when w
+    is s1) on integers: w meets o and x * den == num * det per exponent."""
     dm, dn = step
+    (pp, qp), (ps, qs), (pc, qc) = ((e.numerator, e.denominator) for e in
+                                    (line.e_p, line.e_pstar, line.c_over_N))
     out: list[Surface] = []
     for t in t_values:
         w = Surface(s2.m + t * dm, s2.n + t * dn)
-        if intersect_surfaces(s2 if w == s1 else s1, w) != line:
+        o = s2 if w == s1 else s1
+        det = _meet_det(o, w)
+        if det == 0 or (w.n - o.n) * qp != pp * det or (o.m - w.m) * qs != ps * det \
+                or (w.m + w.n - o.m - o.n) * qc != pc * det:
             raise CrossCheckError(f"{w} fails to reproduce the line through {s1}")
         out.append(w)
     return out
@@ -327,39 +335,29 @@ def _condition2_d(s: Surface, lam: LambdaPair) -> int | None:
     Requires lambda/m - lambda*/n in Z, equal reduced denominators d, and
     d | (m + n).  Only meaningful for m, n != 0.
     """
-    return _condition2_reduced(s, *lam.over(s.m, s.n))
+    return _condition2_reduced(s.m, s.n, *lam.over(s.m, s.n))
 
 
-def _condition2_reduced(s: Surface, a: int, d: int, b: int, dp: int) -> int | None:
+def _condition2_reduced(m: int, n: int, a: int, d: int, b: int, dp: int) -> int | None:
     """`_condition2_d` on lambda/m = a/d and lambda*/n = b/d' in lowest terms."""
-    if dp != d or (a - b) % d != 0 or (s.m + s.n) % d != 0:
-        return None
-    return d
+    return d if dp == d and (a - b) % d == 0 and (m + n) % d == 0 else None
 
 
-def _condition2_witnesses(s: Surface, a: int, d: int) -> Witnesses:
-    """Witnesses of a condition-2 line with lambda/m = a/d in lowest terms."""
-    g = math.gcd(s.m, s.n)
-    gamma = a % d
-    rhs = 1 - gamma * ((s.m + s.n) // d)
-    assert rhs % g == 0, "gamma' must be integral on a condition-2 line"
-    gamma_prime = rhs // g
-    return Witnesses(d=d, gamma=gamma, gamma_prime=gamma_prime, g=g)
-
-
-def _classify_reduced(s: Surface, a: int, d: int, b: int, dp: int,
-                      caveat: bool = False) -> AbelianityVerdict:
-    """`classify_lambda` past its whole-surface and extended-center cases,
-    for lambda/m = a/d and lambda*/n = b/d' in lowest terms."""
+def _classify_reduced(m: int, n: int, a: int, d: int, b: int, dp: int
+                      ) -> tuple[Verdict, tuple[int, int, int, int] | None]:
+    """`classify_lambda` past its whole-surface and extended-center cases, for
+    lambda/m = a/d and lambda*/n = b/d' in lowest terms: the tag and, on a
+    condition-2 line, the witnesses (d, gamma, gamma', g)."""
     if a == 0 or b == 0:
-        return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
-    if s.m % d == 0 and s.n % dp == 0:
-        return AbelianityVerdict(Verdict.INTEGER_LAMBDA, n_caveat=caveat)
-    if _condition2_reduced(s, a, d, b, dp) is not None:
-        return AbelianityVerdict(Verdict.CONDITION2,
-                                 witnesses=_condition2_witnesses(s, a, d),
-                                 n_caveat=caveat)
-    return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
+        return Verdict.NOT_ABELIAN, None
+    if m % d == 0 and n % dp == 0:
+        return Verdict.INTEGER_LAMBDA, None
+    if _condition2_reduced(m, n, a, d, b, dp) is None:
+        return Verdict.NOT_ABELIAN, None
+    g, gamma = math.gcd(m, n), a % d
+    gamma_prime, rem = divmod(1 - gamma * ((m + n) // d), g)
+    assert rem == 0, "gamma' must be integral on a condition-2 line"
+    return Verdict.CONDITION2, (d, gamma, gamma_prime, g)
 
 
 def classify_lambda(s: Surface, lam: LambdaPair | None,
@@ -370,7 +368,8 @@ def classify_lambda(s: Surface, lam: LambdaPair | None,
     non-vanishing integer lambda, cross-cancellation (condition 2 with
     witness d), else not abelian.  lambda=0 or lambda*=0 is not abelian:
     those points leave the |p|<1 moduli space (p=1 resp. p*=1).  lam may be
-    None only on a whole surface, which has no lambda coordinate.
+    None only on a whole surface, which has no lambda coordinate.  The integer
+    core `_classify_reduced` decides; only here is a verdict object built.
     """
     caveat = (N == 2)
     if s.is_whole_surface_abelian():
@@ -379,7 +378,8 @@ def classify_lambda(s: Surface, lam: LambdaPair | None,
         return AbelianityVerdict(Verdict.EXTENDED_CENTER, n_caveat=caveat)
     if lam is None:
         raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
-    return _classify_reduced(s, *lam.over(s.m, s.n), caveat)
+    tag, witnesses = _classify_reduced(s.m, s.n, *lam.over(s.m, s.n))
+    return AbelianityVerdict(tag, witnesses and Witnesses(*witnesses), caveat)
 
 
 Side = tuple[LambdaPair | None, AbelianityVerdict]
@@ -431,7 +431,7 @@ def solve_condition2(s: Surface) -> list[LambdaFamily]:
     divisor d > 0 of m+n is admissible when (m+n)/d is coprime with g; each
     gamma with 0 < gamma < d, gcd(gamma, d) = 1 and g | (1 - gamma (m+n)/d)
     yields one family (gamma' solving gamma' g + gamma (m+n)/d = 1), whose
-    construction self-checks its members k = -2..2 (`LambdaFamily`).
+    construction self-checks its members k = -2..2 on integers (`LambdaFamily`).
 
     Returns [] when no admissible (d, gamma) exists, i.e. no
     cross-cancellation can occur on this surface.

@@ -5,6 +5,7 @@ formulas and cross-checked here against brute-force oracles (exhaustive
 lattice scans, permutation matching, raw predicate enumeration).
 """
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -33,10 +34,9 @@ from abelianity import (
 from abelianity import lattice
 from abelianity.lattice import (
     AbelianityVerdict,
+    Witnesses,
     _bezout_min_second,
     _condition2_d,
-    _condition2_reduced,
-    _condition2_witnesses,
 )
 
 surfaces = st.tuples(st.integers(-8, 8), st.integers(-8, 8)) \
@@ -59,6 +59,26 @@ def raw_condition2(s: Surface, lam: F):
     return d
 
 
+def reference_condition2_reduced(s: Surface, a: int, d: int, b: int,
+                                 dp: int) -> int | None:
+    """Condition 2 on lambda/m = a/d and lambda*/n = b/d' in lowest terms,
+    as `lattice` stated it before its verdict core took bare integers."""
+    if dp != d or (a - b) % d != 0 or (s.m + s.n) % d != 0:
+        return None
+    return d
+
+
+def reference_condition2_witnesses(s: Surface, a: int, d: int) -> Witnesses:
+    """Witnesses of a condition-2 line with lambda/m = a/d in lowest terms,
+    as `lattice` formed them before its verdict core returned bare integers."""
+    g = math.gcd(s.m, s.n)
+    gamma = a % d
+    rhs = 1 - gamma * ((s.m + s.n) // d)
+    assert rhs % g == 0, "gamma' must be integral on a condition-2 line"
+    gamma_prime = rhs // g
+    return Witnesses(d=d, gamma=gamma, gamma_prime=gamma_prime, g=g)
+
+
 def reference_classify_lambda(s: Surface, lam: LambdaPair | None,
                               N: int = 3) -> AbelianityVerdict:
     """The Fraction path that `classify_lambda` took before its branches
@@ -75,9 +95,9 @@ def reference_classify_lambda(s: Surface, lam: LambdaPair | None,
     if lam.lam.denominator == 1 and lam.lam_star.denominator == 1:
         return AbelianityVerdict(Verdict.INTEGER_LAMBDA, n_caveat=caveat)
     a, d, b, dp = lam.over(s.m, s.n)
-    if _condition2_reduced(s, a, d, b, dp) is not None:
+    if reference_condition2_reduced(s, a, d, b, dp) is not None:
         return AbelianityVerdict(Verdict.CONDITION2,
-                                 witnesses=_condition2_witnesses(s, a, d),
+                                 witnesses=reference_condition2_witnesses(s, a, d),
                                  n_caveat=caveat)
     return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
 
@@ -276,6 +296,65 @@ class TestSurfacesThroughLine:
         for w1, w2, w3 in zip(out, out[1:], out[2:]):
             # (m'-m)/(n'-n) == (m''-m')/(n''-n'), cross-multiplied
             assert (w2.m - w1.m) * (w3.n - w2.n) == (w3.m - w2.m) * (w2.n - w1.n)
+
+    @given(surfaces, surfaces,
+           st.sampled_from(["on", "off", "same_m", "same_n", "parallel"]),
+           st.integers(-40, 40), st.integers(-3, 3))
+    @settings(max_examples=300)
+    def test_walk_accepts_exactly_the_intersections_carrying_the_line(
+            self, s1, s2, kind, t, c):
+        """The integer re-verification of `_walk_line` accepts a surface w
+        exactly when `intersect_surfaces(o, w) == line` (o = s1, or s2 when
+        w is s1): w on the line, one step off it, sharing m or n with s1,
+        or parallel to s1 (zero determinant)."""
+        line = intersect_surfaces(s1, s2)
+        assume(line is not None)
+        dm, dn = s1.m - s2.m, s1.n - s2.n
+        g0 = math.gcd(dm, dn)
+        on = (s2.m + t * dm // g0, s2.n + t * dn // g0)
+        wm, wn = {"on": on, "off": (on[0], on[1] + 1), "same_m": (s1.m, t),
+                  "same_n": (t, s1.n), "parallel": (c * s1.m, c * s1.n)}[kind]
+        assume((wm, wn) != (0, 0))
+        w = Surface(wm, wn)
+        expected = intersect_surfaces(s2 if w == s1 else s1, w) == line
+        try:
+            walked = lattice._walk_line(line, s1, s2, (wm - s2.m, wn - s2.n), [1])
+        except CrossCheckError as exc:
+            assert "fails to reproduce the line" in str(exc)
+            walked = None
+        assert (walked == [w]) == expected
+        if kind == "on":
+            assert expected
+
+    @pytest.mark.parametrize("s1,s2", [((3, 6), (2, 5)), ((1, 2), (2, 1)),
+                                       ((5, -7), (-3, 4))])
+    @pytest.mark.parametrize("wrong", [lambda dm, dn: (dm, dn + 1),
+                                       lambda dm, dn: (dm + 1, dn),
+                                       lambda dm, dn: (-dn, dm)])
+    def test_walk_with_a_wrong_step_is_caught(self, s1, s2, wrong):
+        s1, s2 = Surface(*s1), Surface(*s2)
+        dm, dn = s1.m - s2.m, s1.n - s2.n
+        g0 = math.gcd(dm, dn)
+        with pytest.raises(CrossCheckError, match="fails to reproduce the line"):
+            lattice._walk_line(intersect_surfaces(s1, s2), s1, s2,
+                               wrong(dm // g0, dn // g0), range(-2, 3))
+
+    @pytest.mark.parametrize("wrong", [lambda dm, dn: (dm, dn + 1),
+                                       lambda dm, dn: (-dn, dm)])
+    def test_both_walks_are_reverified(self, monkeypatch, wrong):
+        """A walk handed a non-collinear step fails, in `surfaces_through_line`
+        and in `realize_line_as_intersections` alike."""
+        real = lattice._walk_line
+
+        def mutated(line, s1, s2, step, t_values):
+            return real(line, s1, s2, wrong(*step), t_values)
+
+        monkeypatch.setattr(lattice, "_walk_line", mutated)
+        with pytest.raises(CrossCheckError, match="fails to reproduce the line"):
+            surfaces_through_line(Surface(3, 6), Surface(2, 5), range(-2, 3))
+        with pytest.raises(CrossCheckError, match="fails to reproduce the line"):
+            realize_line_as_intersections(Surface(1, 2),
+                                          LambdaPair.from_lambda(F(1, 3)), 2)
 
 
 class TestClassifyLambda:
@@ -547,6 +626,19 @@ class TestSolveCondition2:
             solve_condition2(Surface(*mn))
         if mn == (2, 1):
             assert "verdict" in str(info.value)
+
+    @pytest.mark.parametrize("mn", [(2, 1), (1, 2), (5, 4), (2, 4)])
+    @pytest.mark.parametrize("name,delta", [("d", 1), ("d", -1), ("gamma", 1),
+                                            ("gamma", -1), ("g", 1)])
+    def test_perturbed_family_is_caught(self, mn, name, delta):
+        """Every family of the surface, rebuilt by hand with d, gamma or g
+        off by one, fails its self-check.  (g - 1 is left out: it is 0 on
+        gcd-one surfaces, and on S_{2,4} the integer-degenerate family with
+        g = 1 has members k = -2..2 that are true members k = -4, -2, 0, 2, 4,
+        so it passes.)"""
+        for fam in solve_condition2(Surface(*mn)):
+            with pytest.raises(CrossCheckError):
+                dataclasses.replace(fam, **{name: getattr(fam, name) + delta})
 
 
 class TestSuperAbelianity:
