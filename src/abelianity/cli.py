@@ -365,6 +365,7 @@ def _cmd_scan(args) -> int:
                 for n in range(-box, box + 1)
                 if (m, n) != (0, 0)]
     pairs = disagree = 0
+    NOT_ABELIAN = lattice.Verdict.NOT_ABELIAN
     with contextlib.ExitStack() as stack:
         # one write per outer surface, copied to --out as it goes
         sinks = [sys.stdout]
@@ -373,22 +374,22 @@ def _cmd_scan(args) -> int:
         for i, s1 in enumerate(surfaces):
             row = []
             for s2 in surfaces[i + 1:]:
-                line = lattice.intersect_surfaces(s1, s2)
-                if line is None:
+                core = lattice._sides_reduced(s1, s2)
+                if core is None:
                     continue
-                (lam1, v1), (lam2, v2) = lattice.intersection_sides(s1, s2, args.N)
-                o1 = oracle.is_abelian(oracle.exchange_exponents(s1, lam1))
-                o2 = oracle.is_abelian(oracle.exchange_exponents(s2, lam2))
-                agree = v1.is_abelian == o1 and v2.is_abelian == o2
+                (a, d, b, dp), c, ((lam1, tag1, _), (lam2, tag2, _)) = core
+                # the exchange function cancels iff every exponent count is zero
+                o1, o2 = (not any(oracle._exchange_counts(s.m, s.n, a, d, b, dp)[0].values())
+                          for s in (s1, s2))
+                agree = (tag1 is not NOT_ABELIAN) == o1 and (tag2 is not NOT_ABELIAN) == o2
                 disagree += not agree
                 row.append(emit({
                     "s1": [s1.m, s1.n], "s2": [s2.m, s2.n],
-                    "e_p": _frac_str(line.e_p),
-                    "e_pstar": _frac_str(line.e_pstar),
-                    "c_over_N": _frac_str(line.c_over_N),
-                    "lambda_s1": None if lam1 is None else _frac_str(lam1.lam),
-                    "lambda_s2": None if lam2 is None else _frac_str(lam2.lam),
-                    "tag_s1": v1.tag.value, "tag_s2": v2.tag.value,
+                    "e_p": _int_frac_str(-a, d), "e_pstar": _int_frac_str(-b, dp),
+                    "c_over_N": _int_frac_str(*c),
+                    "lambda_s1": lam1 and _int_frac_str(lam1[0], lam1[1]),
+                    "lambda_s2": lam2 and _int_frac_str(lam2[0], lam2[1]),
+                    "tag_s1": tag1.value, "tag_s2": tag2.value,
                     "oracle_agree": agree,
                 }))
             if row:

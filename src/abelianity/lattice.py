@@ -39,6 +39,11 @@ def _lowest(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
+def _is_difference(c: int, qc: int, p: int, qp: int, ps: int, qs: int) -> bool:
+    """c/qc == p/qp - ps/qs, cross-multiplied over the three denominators."""
+    return c * qp * qs == (p * qs - ps * qp) * qc
+
+
 def _bezout_min_second(a: int, b: int) -> tuple[int, int]:
     """Bezout pair (x, y) with x*a + y*b = 1 and 0 <= y < |a|.
 
@@ -87,11 +92,9 @@ class LineParams:
     c_over_N: Fraction
 
     def __post_init__(self) -> None:
-        # c/N = e_p - e_pstar, cross-multiplied over the three denominators
         p, ps, c = self.e_p, self.e_pstar, self.c_over_N
-        if c.numerator * p.denominator * ps.denominator != \
-                (p.numerator * ps.denominator - ps.numerator * p.denominator) \
-                * c.denominator:
+        if not _is_difference(c.numerator, c.denominator, p.numerator,
+                              p.denominator, ps.numerator, ps.denominator):
             raise ValueError("c/N must equal e_p - e_pstar")
 
     @property
@@ -113,8 +116,8 @@ class LambdaPair:
 
     def __post_init__(self) -> None:
         lam, lams = self.lam, self.lam_star
-        if lam.numerator * lams.denominator + lams.numerator * lam.denominator \
-                != lam.denominator * lams.denominator:
+        if not _is_difference(lam.numerator, lam.denominator, 1, 1,
+                              lams.numerator, lams.denominator):
             raise ValueError("lambda + lambda* must equal 1")
 
     @classmethod
@@ -187,10 +190,10 @@ class LambdaFamily:
     classification (integer_degenerate is True).  A member is formed over
     the common denominator d g as one integer numerator
     (gamma'*ell*d + gamma) g + k n d and classified on integers; only
-    `lambda_pair` makes `Fraction`s.  Construction checks members k = -2..2,
-    kept in `checked`, on integers: the condition-2 predicate must give d and
-    the verdict core (Condition2, (d, gamma, gamma', g)), or (IntegerLambda,
-    None) when integer-degenerate; else it raises CrossCheckError.
+    `lambda_pair` makes `Fraction`s.  Construction checks each witness by its
+    defining equation, then members k = -2..2 (kept in `checked`): the
+    condition-2 predicate must give d and the verdict core (Condition2, (d,
+    gamma, gamma', g)), or (IntegerLambda, None) when integer-degenerate.
     """
 
     surface: Surface
@@ -206,6 +209,10 @@ class LambdaFamily:
 
     def __post_init__(self) -> None:
         m, n = self.surface.m, self.surface.n
+        if self.g != math.gcd(m, n) or not 0 < self.gamma < self.d \
+                or math.gcd(self.gamma, self.d) != 1 or (m + n) % self.d \
+                or self.gamma_prime * self.g + self.gamma * ((m + n) // self.d) != 1:
+            raise CrossCheckError(f"family {self}: a witness fails its defining equation")
         expected = (Verdict.INTEGER_LAMBDA, None) if self.integer_degenerate \
             else (Verdict.CONDITION2, (self.d, self.gamma, self.gamma_prime, self.g))
         checked = []
@@ -213,7 +220,7 @@ class LambdaFamily:
             num, den, reduced = self._integers(k)
             if _condition2_reduced(m, n, *reduced) != self.d:
                 raise CrossCheckError(f"family {self} member k={k} fails condition 2")
-            verdict = _classify_reduced(m, n, *reduced)
+            verdict = _classify_reduced(self.surface, reduced)
             if verdict != expected:
                 raise CrossCheckError(
                     f"family {self} member k={k}: verdict {verdict} != {expected}")
@@ -238,7 +245,7 @@ class LambdaFamily:
         if -2 <= k <= 2:
             return self.checked[k + 2]
         num, den, reduced = self._integers(k)
-        return num, den, _classify_reduced(self.surface.m, self.surface.n, *reduced)[0]
+        return num, den, _classify_reduced(self.surface, reduced)[0]
 
     def lambda_pair(self, k: int) -> LambdaPair:
         num, den, _ = self._integers(k)
@@ -343,11 +350,18 @@ def _condition2_reduced(m: int, n: int, a: int, d: int, b: int, dp: int) -> int 
     return d if dp == d and (a - b) % d == 0 and (m + n) % d == 0 else None
 
 
-def _classify_reduced(m: int, n: int, a: int, d: int, b: int, dp: int
-                      ) -> tuple[Verdict, tuple[int, int, int, int] | None]:
-    """`classify_lambda` past its whole-surface and extended-center cases, for
-    lambda/m = a/d and lambda*/n = b/d' in lowest terms: the tag and, on a
-    condition-2 line, the witnesses (d, gamma, gamma', g)."""
+def _classify_reduced(s: Surface, reduced: tuple | None) -> tuple[Verdict, tuple | None]:
+    """The verdict core of `classify_lambda`, its precedence included: the tag
+    and, on a condition-2 line, the witnesses (d, gamma, gamma', g), for reduced =
+    (a, d, b, d'), lambda/m = a/d and lambda*/n = b/d' in lowest terms, or None."""
+    m, n = s.m, s.n  # Surface's two predicates, inlined: this runs per family member
+    if m == 0 or n == 0:
+        return Verdict.WHOLE_SURFACE, None
+    if m + n == 0 and m in (1, -1):
+        return Verdict.EXTENDED_CENTER, None
+    if reduced is None:
+        raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
+    a, d, b, dp = reduced
     if a == 0 or b == 0:
         return Verdict.NOT_ABELIAN, None
     if m % d == 0 and n % dp == 0:
@@ -356,7 +370,8 @@ def _classify_reduced(m: int, n: int, a: int, d: int, b: int, dp: int
         return Verdict.NOT_ABELIAN, None
     g, gamma = math.gcd(m, n), a % d
     gamma_prime, rem = divmod(1 - gamma * ((m + n) // d), g)
-    assert rem == 0, "gamma' must be integral on a condition-2 line"
+    if rem:
+        raise CrossCheckError(f"gamma' is not integral on S_{{{m},{n}}} at {a}/{d}")
     return Verdict.CONDITION2, (d, gamma, gamma_prime, g)
 
 
@@ -369,59 +384,67 @@ def classify_lambda(s: Surface, lam: LambdaPair | None,
     witness d), else not abelian.  lambda=0 or lambda*=0 is not abelian:
     those points leave the |p|<1 moduli space (p=1 resp. p*=1).  lam may be
     None only on a whole surface, which has no lambda coordinate.  The integer
-    core `_classify_reduced` decides; only here is a verdict object built.
+    core `_classify_reduced` decides; this wrapper builds the verdict object.
     """
-    caveat = (N == 2)
-    if s.is_whole_surface_abelian():
-        return AbelianityVerdict(Verdict.WHOLE_SURFACE, n_caveat=caveat)
-    if s.is_extended_center():
-        return AbelianityVerdict(Verdict.EXTENDED_CENTER, n_caveat=caveat)
-    if lam is None:
-        raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
-    tag, witnesses = _classify_reduced(s.m, s.n, *lam.over(s.m, s.n))
-    return AbelianityVerdict(tag, witnesses and Witnesses(*witnesses), caveat)
+    tag, witnesses = _classify_reduced(
+        s, None if lam is None or s.is_whole_surface_abelian() else lam.over(s.m, s.n))
+    return AbelianityVerdict(tag, witnesses and Witnesses(*witnesses), N == 2)
 
 
-Side = tuple[LambdaPair | None, AbelianityVerdict]
-
-
-def intersection_sides(s1: Surface, s2: Surface, N: int = 3) -> tuple[Side, Side]:
-    """(lam, verdict) on each side of the intersection line, lam being the
-    side's coordinate (None on a whole surface, m=0 or n=0).
-
-    Evaluates the intersection-level conditions
+def _sides_reduced(s1: Surface, s2: Surface) -> tuple | None:
+    """`intersection_sides` on integers, or None when s1 and s2 do not meet.
+    On the line lambda/m = -e_p and lambda*/n = -e_pstar on both sides, so
+    (a, d, b, d') = (-num(e_p), den(e_p), -num(e_pstar), den(e_pstar)) is
+    reduced once.  Returns ((a, d, b, d'), c/N, sides), a side being (lambda
+    or None on a whole surface, as (num, den) like c/N; tag; witnesses).
+    Checks c/N = e_p - e_pstar, lambda + lambda* = 1 and each tag against
       (a)  m(n-n')/(m'n-mn') in Z          (per side; may hold on one only),
       (b)  (m+n-m'-n')/(m'n-mn') in Z and (m+n)(m'+n') != 0  (symmetric),
-      (c)/(c')  one surface is +-(1,-1),
-    and cross-checks them against classify_lambda on each side's coordinate.
-    """
+      (c)/(c')  one surface is +-(1,-1)."""
     det = _meet_det(s1, s2)
     if det == 0:
+        return None
+    a, d = _lowest(s1.n - s2.n, det)
+    b, dp = _lowest(s2.m - s1.m, det)
+    c, e = _lowest(s2.m + s2.n - s1.m - s1.n, det)
+    if not _is_difference(c, e, -a, d, -b, dp):
+        raise CrossCheckError(f"c/N != e_p - e_pstar on {s1} cap {s2}")
+    symmetric = (s1.m + s1.n - s2.m - s2.n) % det == 0 and (s1.m + s1.n) * (
+        s2.m + s2.n) != 0 or s1.is_extended_center() or s2.is_extended_center()
+    sides = []
+    for sa, sb, det_ab in ((s1, s2, det), (s2, s1, -det)):
+        lam = None
+        if not sa.is_whole_surface_abelian():
+            if not _is_difference(sa.m * a, d, 1, 1, sa.n * b, dp):
+                raise CrossCheckError(f"lambda + lambda* != 1 on {sa} (pair {sa} cap {sb})")
+            lam = (sa.m // (r := math.gcd(sa.m, d)) * a, d // r)
+        tag, witnesses = _classify_reduced(sa, (a, d, b, dp))
+        if (sa.m * (sa.n - sb.n) % det_ab == 0 or symmetric) == (tag is Verdict.NOT_ABELIAN):
+            raise CrossCheckError(f"intersection conditions disagree with the line "
+                                  f"classification on {sa} (pair {sa} cap {sb})")
+        sides.append((lam, tag, witnesses))
+    return (a, d, b, dp), (c, e), tuple(sides)
+
+
+def intersection_sides(s1: Surface, s2: Surface, N: int = 3
+                       ) -> tuple[tuple[LambdaPair | None, AbelianityVerdict], ...]:
+    """(lam, verdict) on each side of the intersection line, lam being the
+    side's coordinate (None on a whole surface, m=0 or n=0).  On the line
+    lambda/m = -e_p and lambda*/n = -e_pstar on both sides; the integer core
+    `_sides_reduced` decides and checks, this wrapper builds the objects."""
+    core = _sides_reduced(s1, s2)
+    if core is None:
         raise NoIntersectionError(f"{s1} and {s2} do not intersect")
-    cond_b = ((s1.m + s1.n - s2.m - s2.n) % det == 0
-              and (s1.m + s1.n) != 0 and (s2.m + s2.n) != 0)
-    center = s1.is_extended_center() or s2.is_extended_center()
-
-    def _side(sa: Surface, sb: Surface, det_ab: int) -> Side:
-        lam = None if sa.is_whole_surface_abelian() else lambda_of_intersection(sa, sb)
-        verdict = classify_lambda(sa, lam, N)
-        # condition (a) on this side: integrality of m(n-n')/(m'n-mn')
-        cond_a = (sa.m * (sa.n - sb.n)) % det_ab == 0
-        if (cond_a or cond_b or center) != verdict.is_abelian:
-            raise CrossCheckError(
-                f"intersection conditions disagree with the line classification "
-                f"on {sa} (pair {sa} cap {sb})")
-        return lam, verdict
-
-    return _side(s1, s2, det), _side(s2, s1, -det)
+    return tuple((lam and LambdaPair.from_lambda(Fraction(*lam)),
+                  AbelianityVerdict(tag, witnesses and Witnesses(*witnesses), N == 2))
+                 for lam, tag, witnesses in core[2])
 
 
 def classify_intersection(s1: Surface, s2: Surface,
                           N: int = 3) -> tuple[AbelianityVerdict, AbelianityVerdict]:
     """Verdicts for both sides of the intersection line of s1 and s2, with
     the intersection-level cross-check of `intersection_sides`."""
-    (_, v1), (_, v2) = intersection_sides(s1, s2, N)
-    return v1, v2
+    return tuple(v for _, v in intersection_sides(s1, s2, N))
 
 
 def solve_condition2(s: Surface) -> list[LambdaFamily]:
@@ -491,7 +514,8 @@ def super_abelianity_check(m: int, lam: int) -> SuperAbelianityVerdict:
                                       m_reduced_from=reduced_from)
     beta0_prime = (-pow(lam, -1, m)) % m  # in 1..m-1
     beta0 = (1 + beta0_prime * lam) // m
-    assert beta0 * m - beta0_prime * lam == 1
+    if beta0 * m - beta0_prime * lam != 1:
+        raise CrossCheckError(f"no Bezout pair beta0, beta0' for m={m}, lambda={lam}")
     if math.gcd(m, beta0_prime + 1) != 1:
         return SuperAbelianityVerdict(False, failed_condition=3,
                                       beta0=beta0, beta0_prime=beta0_prime,

@@ -129,19 +129,18 @@ def _exchange_residues(s: Surface,
     return modulus, num, den
 
 
-def exchange_exponents(s: Surface, lam: LambdaPair | None = None) -> ExponentMultiset:
-    """Signed exponent multiset of the exchange function on s at coordinate lam.
+def _exchange_counts(m: int, n: int, a: int, d: int, b: int, dp: int) -> tuple[dict, int]:
+    """`exchange_exponents` as (counts, L), keys k of t = k/L, on integers.
 
     The closed form of counting the lists of `_exchange_residues` term by
-    term: with lambda/m = a/d and lambda*/n = b/d' in lowest terms, the
-    lambda products leave the multipliers `_cycle_remainder(d, |m|)` of
-    a/d, and the lambda* products those of b/d' with numerator and
-    denominator swapped, keyed mod lcm(d, d').  On S_{0,n}, t = l e with e = -1/n, and
-    since |n| e is an integer the lists are that remainder for (e, |n|)
-    over the residue 0; S_{m,0} is the reciprocal of S_{0,m}.  At most
-    (d + d')/2 multipliers are counted, whatever |m| and |n|.
-    """
-    m, n = s.m, s.n
+    term: with lambda/m = a/d and lambda*/n = b/d' in lowest terms (unused on
+    a whole surface), the lambda products leave the multipliers
+    `_cycle_remainder(d, |m|)` of a/d, and the lambda* products those of b/d'
+    with numerator and denominator swapped, keyed mod L = lcm(d, d').  On
+    S_{0,n}, t = l e with e = -1/n, and since |n| e is an integer the lists
+    are that remainder for (e, |n|) over the residue 0; S_{m,0} is the
+    reciprocal of S_{0,m}.  At most (d + d')/2 multipliers are counted,
+    whatever |m| and |n|."""
     counts: dict[int, int] = {}
     if m == 0 or n == 0:
         k = m or n
@@ -152,15 +151,21 @@ def exchange_exponents(s: Surface, lam: LambdaPair | None = None) -> ExponentMul
             num, den, zero = den, num, 1
         _tally(counts, -1 if k > 0 else 1, modulus, num, den, 1)
         counts[0] = counts.get(0, 0) + zero
-        return ExponentMultiset._from_counts(counts, modulus)
-    if lam is None:
-        raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
-    a, d, b, dp = lam.over(m, n)
+        return counts, modulus
     modulus = math.lcm(d, dp)
     _tally(counts, a, d, *_cycle_remainder(d, abs(m)), modulus // d)
     den, num = _cycle_remainder(dp, abs(n))
     _tally(counts, b, dp, num, den, modulus // dp)
-    return ExponentMultiset._from_counts(counts, modulus)
+    return counts, modulus
+
+
+def exchange_exponents(s: Surface, lam: LambdaPair | None = None) -> ExponentMultiset:
+    """Signed exponent multiset of the exchange function on s at coordinate
+    lam (None only on a whole surface), from `_exchange_counts`."""
+    if lam is None and not s.is_whole_surface_abelian():
+        raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
+    reduced = (0, 1, 0, 1) if s.is_whole_surface_abelian() else lam.over(s.m, s.n)
+    return ExponentMultiset._from_counts(*_exchange_counts(s.m, s.n, *reduced))
 
 
 def is_abelian(mset: ExponentMultiset) -> bool:

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import abelianity
-from abelianity import Surface, classify_lambda, intersect_surfaces, solve_condition2
+from abelianity import (Surface, Verdict, classify_lambda, exchange_exponents,
+                        intersect_surfaces, is_abelian, lambda_of_intersection,
+                        lattice, solve_condition2)
 from abelianity.cli import _frac_str, main
 from abelianity.elliptic import PoleError
 
@@ -419,7 +421,7 @@ class TestScan:
 
     def test_disagreement_is_exit_1_with_summary(self, capsys, monkeypatch):
         from abelianity import oracle
-        monkeypatch.setattr(oracle, "is_abelian", lambda mset: False)
+        monkeypatch.setattr(oracle, "_exchange_counts", lambda *reduced: ({0: 1}, 1))
         rc = main(["scan", "--box", "2"])
         captured = capsys.readouterr()
         docs = [json.loads(line) for line in captured.out.strip().split("\n")]
@@ -428,6 +430,49 @@ class TestScan:
         assert bad > 0
         assert captured.err.strip() == (f"scan: {len(docs)} intersecting pairs, "
                                         f"{bad} with oracle_agree false")
+
+    @pytest.mark.parametrize("target,fake", [
+        ("_classify_reduced", lambda s, reduced: (Verdict.NOT_ABELIAN, None)),
+        ("_meet_det", lambda s1, s2: 2 * (s2.m * s1.n - s1.m * s2.n)
+         if s1.m != s2.m and s1.n != s2.n else 0),
+    ])
+    def test_broken_core_is_a_verification_mismatch(self, capsys, monkeypatch,
+                                                    target, fake):
+        """A tag forced to NotAbelian on abelian sides fails the intersection
+        conditions; a doubled determinant fails lambda + lambda* = 1."""
+        monkeypatch.setattr(lattice, target, fake)
+        rc = main(["scan", "--box", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("verification mismatch: ")
+
+    def test_rows_match_the_public_api(self, capsys):
+        """Every `scan --box=5` row, rebuilt one pair at a time from
+        `intersect_surfaces`, `lambda_of_intersection`, `classify_lambda` and
+        the oracle's `exchange_exponents` and `is_abelian`."""
+        rc, out = run(capsys, "scan", "--box=5")
+        assert rc == 0
+        surfs = [Surface(m, n) for m in range(-5, 6) for n in range(-5, 6)
+                 if (m, n) != (0, 0)]
+        rows = []
+        for i, s1 in enumerate(surfs):
+            for s2 in surfs[i + 1:]:
+                line = intersect_surfaces(s1, s2)
+                if line is None:
+                    continue
+                lams = [None if s.m == 0 or s.n == 0 else lambda_of_intersection(s, o)
+                        for s, o in ((s1, s2), (s2, s1))]
+                verdicts = [classify_lambda(s, lam) for s, lam in zip((s1, s2), lams)]
+                agree = all(v.is_abelian == is_abelian(exchange_exponents(s, lam))
+                            for s, lam, v in zip((s1, s2), lams, verdicts))
+                rows.append({
+                    "s1": [s1.m, s1.n], "s2": [s2.m, s2.n],
+                    "e_p": _frac_str(line.e_p), "e_pstar": _frac_str(line.e_pstar),
+                    "c_over_N": _frac_str(line.c_over_N),
+                    "lambda_s1": lams[0] and _frac_str(lams[0].lam),
+                    "lambda_s2": lams[1] and _frac_str(lams[1].lam),
+                    "tag_s1": verdicts[0].tag.value, "tag_s2": verdicts[1].tag.value,
+                    "oracle_agree": agree})
+        assert [json.loads(line) for line in out.splitlines()] == rows
 
     def test_agreement_is_silent(self, capsys):
         rc = main(["scan", "--box", "2"])

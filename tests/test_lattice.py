@@ -102,6 +102,62 @@ def reference_classify_lambda(s: Surface, lam: LambdaPair | None,
     return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
 
 
+def reference_intersection_sides(s1: Surface, s2: Surface, N: int = 3):
+    """`intersection_sides` as it was before it became the wrapper of an
+    integer core: each side's coordinate from `lambda_of_intersection` in
+    `Fraction` arithmetic, its verdict from `reference_classify_lambda`, and
+    the intersection-level conditions (a), (b), (c)/(c') checked against it."""
+    det = lattice._meet_det(s1, s2)
+    if det == 0:
+        raise NoIntersectionError(f"{s1} and {s2} do not intersect")
+    cond_b = ((s1.m + s1.n - s2.m - s2.n) % det == 0
+              and (s1.m + s1.n) != 0 and (s2.m + s2.n) != 0)
+    center = s1.is_extended_center() or s2.is_extended_center()
+
+    def _side(sa: Surface, sb: Surface, det_ab: int):
+        lam = None if sa.is_whole_surface_abelian() else lambda_of_intersection(sa, sb)
+        verdict = reference_classify_lambda(sa, lam, N)
+        cond_a = (sa.m * (sa.n - sb.n)) % det_ab == 0
+        if (cond_a or cond_b or center) != verdict.is_abelian:
+            raise CrossCheckError(f"intersection conditions disagree on {sa}")
+        return lam, verdict
+
+    return _side(s1, s2, det), _side(s2, s1, -det)
+
+
+@st.composite
+def intersecting_pairs(draw):
+    """(s1, s2) meeting in a line, |m|, |n| <= 10**6: two random surfaces, or
+    s2 realizing on s1 an integer lambda or a cross-cancellation member (s1
+    then has |m+n| <= 30, so its families are cheap), or s2 a whole surface or
+    an extended center; the pair in either order."""
+    big = st.integers(-10**6, 10**6)
+    kind = draw(st.sampled_from(["random", "integer", "member", "special"]))
+    m = draw(big)
+    n = draw(st.integers(-30, 30)) - m if kind == "member" else draw(big)
+    assume((m, n) != (0, 0))
+    s1 = Surface(m, n)
+    if kind == "random":
+        mn = (draw(big), draw(big))
+        assume(mn != (0, 0))
+        s2 = Surface(*mn)
+    elif kind == "special":
+        k = draw(big.filter(bool))
+        s2 = Surface(*draw(st.sampled_from([(0, k), (k, 0), (1, -1), (-1, 1)])))
+    else:
+        assume(m and n)
+        if kind == "integer":
+            lam = F(draw(st.integers(-10**6, 10**6)))
+        else:
+            fams = solve_condition2(s1) if m + n else []
+            assume(fams)
+            lam = draw(st.sampled_from(fams)).lambda_pair(draw(st.integers(-4, 4))).lam
+        assume(lam not in (0, 1))
+        s2 = realize_line_as_intersections(s1, LambdaPair.from_lambda(lam), 1)[0]
+    assume(intersect_surfaces(s1, s2) is not None)
+    return (s2, s1) if draw(st.booleans()) else (s1, s2)
+
+
 @st.composite
 def lines_on_wide_surfaces(draw):
     """(s, lam) with |m|, |n| <= 40: lambda in {0, 1}, an integer, a
@@ -484,6 +540,32 @@ class TestClassifyIntersection:
                 else lambda_of_intersection(sa, sb)
             assert is_abelian(exchange_exponents(sa, lam)) == v.is_abelian
 
+    @given(intersecting_pairs(), st.sampled_from([2, 3]))
+    @settings(max_examples=400, deadline=None)
+    def test_sides_match_the_fraction_reference(self, pair, N):
+        """The integer core gives each side the lambda, tag, witnesses and
+        n_caveat of the `Fraction` path, on surfaces up to 10**6."""
+        s1, s2 = pair
+        assert intersection_sides(s1, s2, N) == reference_intersection_sides(s1, s2, N)
+
+    def test_wrong_c_over_n_is_caught(self, monkeypatch):
+        """On S_{1,2} cap S_{2,1}, c/N = 0 is the only reduction of a zero
+        numerator; reducing it to 1 instead trips the c/N = e_p - e_pstar
+        check before anything is classified."""
+        real = lattice._lowest
+        monkeypatch.setattr(lattice, "_lowest",
+                            lambda num, den: (1, 1) if num == 0 else real(num, den))
+        with pytest.raises(CrossCheckError, match="c/N"):
+            intersection_sides(Surface(1, 2), Surface(2, 1))
+
+    def test_wrong_determinant_is_caught(self, monkeypatch):
+        """With the determinant doubled every line still has c/N = e_p -
+        e_pstar, but lambda + lambda* = 1/2 on the first side."""
+        real = lattice._meet_det
+        monkeypatch.setattr(lattice, "_meet_det", lambda s1, s2: 2 * real(s1, s2))
+        with pytest.raises(CrossCheckError, match=r"lambda \+ lambda\* != 1"):
+            intersection_sides(Surface(3, 6), Surface(2, 5))
+
     def test_sides_carry_coordinate_and_verdict(self):
         box = 3
         surfs = [Surface(m, n) for m in range(-box, box + 1)
@@ -613,8 +695,8 @@ class TestSolveCondition2:
     @pytest.mark.parametrize("mn", [(2, 1), (1, 2), (5, 4), (2, 4)])
     def test_wrong_gamma_prime_is_caught(self, monkeypatch, mn):
         """A family built with gamma' off by one fails its self-check.  On
-        S_{2,1} ell = 0, so its members are unchanged and only the witness
-        check can see the fault."""
+        S_{2,1} ell = 0, so its members are unchanged and only a witness
+        check can see the fault: the defining equation of gamma'."""
         real = lattice.LambdaFamily
 
         def wrong(**fields):
@@ -625,17 +707,18 @@ class TestSolveCondition2:
         with pytest.raises(CrossCheckError) as info:
             solve_condition2(Surface(*mn))
         if mn == (2, 1):
-            assert "verdict" in str(info.value)
+            assert "defining equation" in str(info.value)
 
     @pytest.mark.parametrize("mn", [(2, 1), (1, 2), (5, 4), (2, 4)])
     @pytest.mark.parametrize("name,delta", [("d", 1), ("d", -1), ("gamma", 1),
-                                            ("gamma", -1), ("g", 1)])
+                                            ("gamma", -1), ("g", 1), ("g", -1),
+                                            ("gamma_prime", 2)])
     def test_perturbed_family_is_caught(self, mn, name, delta):
         """Every family of the surface, rebuilt by hand with d, gamma or g
-        off by one, fails its self-check.  (g - 1 is left out: it is 0 on
-        gcd-one surfaces, and on S_{2,4} the integer-degenerate family with
-        g = 1 has members k = -2..2 that are true members k = -4, -2, 0, 2, 4,
-        so it passes.)"""
+        off by one or gamma' off by two, fails its self-check with a
+        CrossCheckError, also where g - 1 = 0, and on the integer-degenerate
+        family of S_{2,4}, whose members k = -2..2 are true members at other
+        k when g or gamma' is wrong."""
         for fam in solve_condition2(Surface(*mn)):
             with pytest.raises(CrossCheckError):
                 dataclasses.replace(fam, **{name: getattr(fam, name) + delta})

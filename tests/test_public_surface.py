@@ -80,3 +80,11 @@ def test_exponent_multiset_build_is_a_classmethod():
     # the tracer wraps ExponentMultiset.build through the class __dict__
     from abelianity.oracle import ExponentMultiset
     assert isinstance(ExponentMultiset.__dict__["build"], classmethod)
+
+
+def test_no_assert_guards_the_package():
+    """`python -O` strips `assert`, so no check in the package may be one."""
+    for path in sorted((ROOT / "src" / "abelianity").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
