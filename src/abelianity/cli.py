@@ -220,11 +220,9 @@ def _cmd_surfaces_through(args) -> int:
     s1, s2 = args.s1, args.s2
     if args.t_min > args.t_max:
         raise ValueError(f"--t-min {args.t_min} exceeds --t-max {args.t_max}")
-    line = lattice.intersect_surfaces(s1, s2)
-    if line is None:
-        print(f"error: {s1} and {s2} do not intersect", file=sys.stderr)
-        return 2
+    # NoIntersectionError (exit 2) when the surfaces do not meet
     surfs = lattice.surfaces_through_line(s1, s2, range(args.t_min, args.t_max + 1))
+    line = lattice.intersect_surfaces(s1, s2)
     report = {"s1": _surface_dict(s1), "s2": _surface_dict(s2),
               "line": _line_dict(line),
               "surfaces": [_surface_dict(w) for w in surfs]}
@@ -239,7 +237,7 @@ def _finite_at(val: complex, x: complex) -> complex:
     return val
 
 
-def _grid_max_deviation(ctx: EllipticContext, evaluate, grid) -> tuple[float, int]:
+def _grid_max_deviation(evaluate, grid) -> tuple[float, int]:
     """Max |value - 1| over the grid, skipping pole-adjacent points."""
     worst = 0.0
     used = 0
@@ -269,15 +267,13 @@ def _cmd_verify_y(args) -> int:
     s = args.surface
     lam = None if args.lam is None else LambdaPair.from_lambda(args.lam)
     if not s.is_whole_surface_abelian() and lam is None:
-        print("error: --lambda is required unless m=0 or n=0", file=sys.stderr)
-        return 2
+        raise ValueError("--lambda is required unless m=0 or n=0")
     ctx = EllipticContext(N=args.N, q=args.q)
     mset = oracle.exchange_exponents(s, lam)
     oracle_abelian = oracle.is_abelian(mset)
     verdict = lattice.classify_lambda(s, lam, args.N)
     _, classification_ok = _oracle_agreement(s, lam, verdict, oracle_abelian)
-    worst, used = _grid_max_deviation(
-        ctx, elliptic.exchange_plan(ctx, s, lam), args.grid)
+    worst, used = _grid_max_deviation(elliptic.exchange_plan(ctx, s, lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
     # N=2 is the sufficient-only regime: no completeness claim
     numeric_ok = _numeric_ok(worst, used, oracle_abelian or collapses,
@@ -301,7 +297,7 @@ def _cmd_verify_super(args) -> int:
     oracle_empty = mset.is_empty()
     ctx = EllipticContext(N=args.N, q=args.q)
     worst, used = _grid_max_deviation(
-        ctx, elliptic.centrality_plan(ctx, abs(args.m), args.lam), args.grid)
+        elliptic.centrality_plan(ctx, abs(args.m), args.lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
     numeric_ok = _numeric_ok(worst, used, oracle_empty or collapses)
     consistent = (verdict.super_abelian == oracle_empty) and numeric_ok
@@ -327,14 +323,9 @@ def _cmd_poisson(args) -> int:
     if verdict.tag not in (lattice.Verdict.INTEGER_LAMBDA,
                            lattice.Verdict.CONDITION2,
                            lattice.Verdict.EXTENDED_CENTER):
-        print(f"error: no Poisson structure off abelianity lines "
-              f"(verdict {verdict.tag.value})", file=sys.stderr)
-        return 2
-    try:
-        params = poisson.params_for_line(s, lam)
-    except poisson.DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no Poisson structure off abelianity lines "
+                         f"(verdict {verdict.tag.value})")
+    params = poisson.params_for_line(s, lam)
     ctx = EllipticContext(N=args.N, q=args.q)
     k, kp = args.kk
     route = poisson.f_series if args.route == "series" else poisson.f_compact

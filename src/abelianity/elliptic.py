@@ -120,7 +120,8 @@ class _DualNome:
     (1 - rho^j y)(1 - rho^j / y), j = 1..n-1, that follow the leading
     (1 - y) of theta_rho(y); n is the least with rho^{n-1/2} < TRUNCATION,
     and no pair is needed once rho underflows.  Two evaluations share them:
-    `ratio`, the theta ratio of U (constants from `for_u`), and `logderiv`.
+    `ratio`, the theta ratio of U (constants from `for_u`), and `logderiv`,
+    which takes its point as ln w.
     """
 
     __slots__ = ("T", "scale", "powers", "pole_tol", "omega", "omega_inv",
@@ -205,18 +206,19 @@ class _DualNome:
             raise DomainError("U value lies outside float range")
         return val
 
-    def logderiv(self, x: complex) -> complex:
-        """D_a(x) = -x d/dx ln theta_a(x), summed in the dual nome:
+    def logderiv(self, lnx: complex) -> complex:
+        """D_a(x) = -x d/dx ln theta_a(x) at the point x = e^lnx, summed in
+        the dual nome:
 
             D_a(x) = -1/2 - ln(x)/T - (i pi/T) sigma (1 + 2 D_rho(X)),
 
-        with the principal ln, X the reduced dual coordinate of 1/x and
-        sigma = -1 when that was inverted, else +1.  PoleError within
+        with ln x = lnx reduced to imaginary part in [-pi, pi], X the
+        reduced dual coordinate of 1/x and sigma = -1 when that was
+        inverted, else +1.  Any logarithm of x may be passed, so the point
+        itself never has to lie in float range.  PoleError within
         POLE_DISTANCE of a zero of theta_a."""
-        x = complex(x)
-        if x == 0 or not _finite(x):
-            raise DomainError(f"argument must be finite and nonzero, got {x}")
-        lnx = cmath.log(x)
+        # exact when lnx.imag already lies in [-pi, pi]
+        lnx = complex(lnx.real, math.remainder(lnx.imag, 2.0 * math.pi))
         X, inverted = self.reduce(-lnx.imag, -self.scale * lnx.real)
         # 1 - X without cancellation, from X = exp(-scale |arg x| + i im)
         im = cmath.phase(X)
@@ -224,6 +226,10 @@ class _DualNome:
                       - math.expm1(-self.scale * abs(lnx.imag)) * math.cos(im),
                       -X.imag)
         if abs(gap) < self.pole_tol:
+            try:
+                x = cmath.exp(lnx)
+            except OverflowError:
+                x = f"exp({lnx})"
             raise PoleError(f"series pole: x within {POLE_DISTANCE:g} of a power "
                             f"of a (x={x})")
         total = (1.0 + X) / gap   # 1 + 2 X/(1 - X)

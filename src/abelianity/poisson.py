@@ -11,9 +11,11 @@ evaluation route is one loop over its table; the routes must agree:
     f = -2 N lambda ln(q) (2 I(x) - I(qx) - I(x/q)).
 
 Both sum every Lambert pair D_a in its dual nome with the kernel of
-`elliptic`, so the cost stays bounded as q -> 1.  A nome a = q^{2N/l} is
-never formed as a float but taken as T = ln(1/a) = 2N ln(1/q)/l, so it
-cannot underflow for small q.
+`elliptic`, so the cost stays bounded as q -> 1.  Every argument is a
+logarithm: a nome a = q^{2N/l} is taken as T = ln(1/a) = 2N ln(1/q)/l,
+and each point of D_a as a sum of multiples of ln x and ln q, so no nome,
+squared argument or shift is formed as a float and none can leave float
+range.  Only `f_kk` hands its route the float point q^u x.
 
 Type (a) covers non-vanishing integer lambda (weights m/l, n/l* with l, l*
 the reduced denominators of lambda/m, lambda*/n); type (b) covers the
@@ -24,8 +26,8 @@ apply and must coincide.
 
 from __future__ import annotations
 
+import cmath
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,6 +131,14 @@ class PoissonParamsB:
 PoissonParams = PoissonParamsA | PoissonParamsB
 
 
+def _log(x: complex) -> complex:
+    """ln x, or DomainError when x is 0 or not finite."""
+    x = complex(x)
+    if x == 0 or not cmath.isfinite(x):
+        raise DomainError(f"argument must be finite and nonzero, got {x}")
+    return cmath.log(x)
+
+
 def theta_logderiv_series(a: float, x: complex) -> complex:
     """-x d/dx ln theta_a(x), the Lambert-type pair
 
@@ -141,38 +151,14 @@ def theta_logderiv_series(a: float, x: complex) -> complex:
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"nome must lie in (0,1), got {a}")
-    return _DualNome(-math.log(a)).logderiv(x)
+    return _DualNome(-math.log(a)).logderiv(_log(x))
 
 
-_RANGE_REASON = ("argument must be finite and nonzero: a squared or shifted "
-                 "grid argument at q = {:g} lies outside float range")
-
-
-def _kernels(ctx: EllipticContext, table: _Table,
-             exponent: float) -> tuple[dict, list[float]]:
+def _kernels(ctx: EllipticContext, table: _Table) -> dict:
     """The Lambert pair D of each distinct nome q^{2N/l} of the table, the
-    nome taken as T = 2N ln(1/q)/l, and the shifts (q^exponent)^k for
-    k = 0..max k.
-
-    Raises DomainError when q^exponent or a power leaves the normal float
-    range; q^exponent is not formed when no row is shifted.
-    """
-    D = {ell: _DualNome(-2.0 * ctx.N * math.log(ctx.q) / ell).logderiv
-         for ell in {row[1] for row in table}}
-    top = max(k for _, _, k, _ in table)
-    if top == 0:
-        return D, [1.0]
-    try:
-        s = ctx.q ** exponent
-        powers = [s ** k for k in range(top + 1)]
-    except OverflowError:
-        pass
-    else:
-        # an underflow to 0 or to a subnormal float is silent
-        if all(v >= sys.float_info.min for v in powers):
-            return D, powers
-    raise DomainError(f"argument shift (q^{exponent:g})^k for k up to "
-                      f"{top} lies outside float range")
+    nome taken as T = 2N ln(1/q)/l; each D takes the log of its point."""
+    return {ell: _DualNome(-2.0 * ctx.N * math.log(ctx.q) / ell).logderiv
+            for ell in {row[1] for row in table}}
 
 
 def f_compact(ctx: EllipticContext, params: PoissonParams, x: complex) -> complex:
@@ -181,50 +167,51 @@ def f_compact(ctx: EllipticContext, params: PoissonParams, x: complex) -> comple
     compact table.
 
     The chain rule through the squared arguments of U_a gives
-      x d/dx ln U_a(y) = 2 (D_a(y^2) - D_a(q^2 y^2) + D_a(q^2/y^2) - D_a(1/y^2)).
+      x d/dx ln U_a(y) = 2 (D_a(y^2) - D_a(q^2 y^2) + D_a(q^2/y^2) - D_a(1/y^2)),
+    each argument formed as its log: ln y = ln x +- k ln s, ln y^2 = 2 ln y
+    and ln(q^2 y^{+-2}) = 2 ln q +- 2 ln y.
     """
     scale, e, table, _ = params._terms(ctx.N)
-    D, shifts = _kernels(ctx, table, e)
-    q2 = ctx.q * ctx.q
+    D = _kernels(ctx, table)
+    lnq = math.log(ctx.q)
+    lns = e * lnq
+    lnx = _log(x)
 
-    def u(Da, y: complex) -> complex:
-        y2 = y * y
-        return 2.0 * (Da(y2) - Da(q2 * y2) + Da(q2 / y2) - Da(1.0 / y2))
+    def u(Da, lny: complex) -> complex:
+        return 2.0 * (Da(2.0 * lny) - Da(2.0 * lnq + 2.0 * lny)
+                      + Da(2.0 * lnq - 2.0 * lny) - Da(-2.0 * lny))
 
     total = 0.0 + 0.0j
-    try:
-        for weight, ell, k, sign in table:
-            term = u(D[ell], x * shifts[k])
-            if sign:
-                term += sign * u(D[ell], x / shifts[k])
-            total += weight * term
-    except (DomainError, ZeroDivisionError) as exc:  # D_a was handed 0 or inf
-        raise DomainError(_RANGE_REASON.format(ctx.q)) from exc
-    return -ctx.N * float(params.lam) * math.log(ctx.q) * scale * total
+    for weight, ell, k, sign in table:
+        term = u(D[ell], lnx + k * lns)
+        if sign:
+            term += sign * u(D[ell], lnx - k * lns)
+        total += weight * term
+    return -ctx.N * float(params.lam) * lnq * scale * total
 
 
 def f_series(ctx: EllipticContext, params: PoissonParams, x: complex) -> complex:
     """Series route: f = -2 N lambda ln(q) scale (2 I(x) - I(qx) - I(x/q))
     with I(y) = sum weight (D_{q^{2N/l}}(p^k y^2) + sign D_{q^{2N/l}}(p^k/y^2))
-    over the line's series table, p = q^{2e}."""
+    over the line's series table, p = q^{2e}.  Every argument is formed as
+    its log: ln(p^k y^{+-2}) = k ln p +- 2 ln y, ln(q^{+-1} x) = ln x +- ln q."""
     scale, e, _, table = params._terms(ctx.N)
-    D, shifts = _kernels(ctx, table, 2.0 * e)
+    D = _kernels(ctx, table)
+    lnq = math.log(ctx.q)
+    lnp = 2.0 * e * lnq
 
-    def I(y: complex) -> complex:
-        y2 = y * y
+    def I(lny: complex) -> complex:
         total = 0.0 + 0.0j
         for weight, ell, k, sign in table:
-            term = D[ell](shifts[k] * y2)
+            term = D[ell](k * lnp + 2.0 * lny)
             if sign:
-                term += sign * D[ell](shifts[k] / y2)
+                term += sign * D[ell](k * lnp - 2.0 * lny)
             total += weight * term
         return total
 
-    try:
-        second = 2.0 * I(x) - I(ctx.q * x) - I(x / ctx.q)
-    except (DomainError, ZeroDivisionError) as exc:
-        raise DomainError(_RANGE_REASON.format(ctx.q)) from exc
-    return -2.0 * ctx.N * float(params.lam) * math.log(ctx.q) * scale * second
+    lnx = _log(x)
+    second = 2.0 * I(lnx) - I(lnx + lnq) - I(lnx - lnq)
+    return -2.0 * ctx.N * float(params.lam) * lnq * scale * second
 
 
 def f_kk(ctx: EllipticContext, params: PoissonParams, k: int, kp: int,
@@ -236,14 +223,22 @@ def f_kk(ctx: EllipticContext, params: PoissonParams, k: int, kp: int,
     i - j = (k'-k)/2 + u takes the k + k' - 1 values u = 1-k'..k-1, each
     min(k, k'+u) - max(0, u) times, so each distinct shift is evaluated once,
     in the order the double sum first reaches it (a pole is reported at the
-    same point).
+    same point).  The shifted point q^{i-j} x is handed to `route` as a
+    float: DomainError when it leaves float range.
     """
     if not (1 <= k <= ctx.N and 1 <= kp <= ctx.N):
         raise DomainError(f"k, k' must lie in 1..N={ctx.N}")
     total = 0.0 + 0.0j
     for u in (*range(0, -kp, -1), *range(1, k)):
-        total += (min(k, kp + u) - max(0, u)) \
-            * route(ctx, params, ctx.q ** ((kp - k) / 2 + u) * x)
+        shift = (kp - k) / 2 + u
+        try:
+            y = ctx.q ** shift * x
+        except OverflowError:
+            y = math.inf
+        if y == 0 or not cmath.isfinite(y):
+            raise DomainError(f"shifted argument q^{shift:g} x at x={x} lies "
+                              f"outside float range")
+        total += (min(k, kp + u) - max(0, u)) * route(ctx, params, y)
     return total
 
 

@@ -29,6 +29,25 @@ def run(capsys, *argv):
     return rc, out
 
 
+def assert_routes_agree(capsys, argv):
+    """argv exits 0 on both --route values (one of them is argv itself),
+    with finite rows at the same points that agree to 1e-10 (1 + |f|)."""
+    base = [a for a in argv if not a.startswith("--route=")]
+    rows = []
+    for route in ("compact", "series"):
+        rc = main(base + [f"--route={route}"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        rows.append([[float(v) for v in r.split(",")]
+                     for r in captured.out.strip().split("\n")[1:]])
+    compact, series = rows
+    assert compact and [r[:2] for r in compact] == [r[:2] for r in series]
+    for c, s in zip(compact, series):
+        fc, fs = complex(*c[2:]), complex(*s[2:])
+        assert cmath.isfinite(fc) and cmath.isfinite(fs)
+        assert abs(fc - fs) <= 1e-10 * (1 + abs(fc))
+
+
 class TestIntersect:
     def test_worked_example(self, capsys):
         rc, out = run(capsys, "intersect", "--s1", "3,6", "--s2", "2,5", "--N", "3")
@@ -317,25 +336,27 @@ class TestPoissonCommand:
          "--route=series"),
     ])
     def test_type_b_shift_outside_float_range(self, capsys, argv):
-        # the argument shift s^k = q^(-N lambda k/m) overflows a float
-        assert main(["poisson", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and \
-            "outside float range" in captured.err
+        # the argument shift s^k = q^(-N lambda k/m) overflows a float; it
+        # enters every Lambert pair as k ln s, so the command answers
+        assert_routes_agree(capsys, ["poisson", *argv])
 
     @pytest.mark.parametrize("argv", [
         ("--surface=1,1", "--lambda=3/2", "--q=1e-200", "--N=2", "--route=series"),
         ("--surface=6,3", "--lambda=8/3", "--q=1e-30"),
     ])
     def test_squared_argument_outside_float_range(self, capsys, argv):
-        # q^2 x^2 underflows (series) or (s^5 x)^2 overflows (compact)
-        assert main(["poisson", *argv]) == 2
+        # q^2 x^2 underflows (series) or (s^5 x)^2 overflows (compact) as a
+        # float; as a log it is 2 ln q + 2 ln x, so the command answers
+        assert_routes_agree(capsys, ["poisson", *argv])
+
+    def test_kk_shift_outside_float_range(self, capsys):
+        # q^-2 = 1e400: the one float shift left, named in the reason
+        assert main(["poisson", "--surface=1,1", "--lambda=2", "--q=1e-200",
+                     "--kk=3,3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "squared or shifted grid argument" in captured.err
-        assert "lies outside float range" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err == ("error: shifted argument q^-2 x at x=(0.8+0j) "
+                                "lies outside float range\n")
 
     def test_off_line_rejected(self, capsys):
         rc, _ = run(capsys, "poisson", "--surface", "2,5", "--lambda=-2/3")
@@ -599,12 +620,8 @@ class TestUsageErrors:
         assert reason in captured.err
 
     def test_overflowing_radius(self, capsys):
-        # x^2 overflows to inf: a domain error, not a NaN row
-        assert main(self.POISSON + ["--grid=1e200,1.25,2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: argument must be finite" in captured.err
-        assert "math domain error" not in captured.err
+        # x^2 overflows a float, but 2 ln x does not: finite rows, no NaN
+        assert_routes_agree(capsys, self.POISSON + ["--grid=1e200,1.25,2"])
 
     @pytest.mark.parametrize("kk", ["a,b", "1", "1,2,3"])
     def test_kk_needs_two_integers(self, capsys, kk):

@@ -5,11 +5,10 @@ finite-difference oracles, the case overlap, and the multi-index bracket."""
 
 import cmath
 import math
-import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelianity import (
@@ -48,54 +47,34 @@ def rel_err(a, b):
 
 # Reference: the four per-type formulas and the double loop of the
 # multi-index bracket, each written out on its own.  The table-driven
-# routes must reproduce them.
-
-_REF_RANGE_REASON = ("argument must be finite and nonzero: a squared or shifted "
-                     "grid argument at q = {:g} lies outside float range")
+# routes must reproduce them.  Every Lambert pair takes the log of its
+# point, so each shifted or squared argument is a sum of logs.
 
 
 def _ref_nome(ctx, ell):
     return _DualNome(-2.0 * ctx.N * math.log(ctx.q) / ell)
 
 
-def _ref_u_logderiv(ctx, nome, x):
-    q2 = ctx.q * ctx.q
-    x2 = x * x
+def _ref_u_logderiv(ctx, nome, lny):
+    """x d/dx ln U_a at y = e^lny: 2 (D(y^2) - D(q^2 y^2) + D(q^2/y^2) - D(1/y^2))."""
+    ln_q2, ln_y2 = 2.0 * math.log(ctx.q), 2.0 * lny
     D = nome.logderiv
-    try:
-        return 2.0 * (D(x2) - D(q2 * x2) + D(q2 / x2) - D(1.0 / x2))
-    except (DomainError, ZeroDivisionError) as exc:
-        raise DomainError(_REF_RANGE_REASON.format(ctx.q)) from exc
+    return 2.0 * (D(ln_y2) - D(ln_q2 + ln_y2) + D(ln_q2 - ln_y2) - D(-ln_y2))
 
 
-def _ref_shift_powers(ctx, exponent, ks):
-    if not any(ks):
-        return [1.0] * len(ks)
-    try:
-        s = ctx.q ** exponent
-        powers = [s ** k for k in ks]
-    except OverflowError:
-        pass
-    else:
-        if all(v >= sys.float_info.min for v in powers):
-            return powers
-    raise DomainError(f"argument shift (q^{exponent:g})^k for k up to "
-                      f"{ks[-1]} lies outside float range")
-
-
-def _ref_second_difference(fn, ctx, x):
-    try:
-        return 2.0 * fn(x) - fn(ctx.q * x) - fn(x / ctx.q)
-    except (DomainError, ZeroDivisionError) as exc:
-        raise DomainError(_REF_RANGE_REASON.format(ctx.q)) from exc
+def _ref_second_difference(fn, ctx, lnx):
+    """2 fn(x) - fn(qx) - fn(x/q), each point given by its log."""
+    lnq = math.log(ctx.q)
+    return 2.0 * fn(lnx) - fn(lnx + lnq) - fn(lnx - lnq)
 
 
 def reference_f_type_a(ctx, params, x):
     """f(x) = -N lambda ln(q) x d/dx [ (m/l) ln U_{q^{2N/l}}(x)
                                      + (n/l*) ln U_{q^{2N/l*}}(x) ]."""
     a1, a2 = _ref_nome(ctx, params.ell), _ref_nome(ctx, params.ell_star)
-    bracket = (params.surface.m / params.ell) * _ref_u_logderiv(ctx, a1, x) \
-        + (params.surface.n / params.ell_star) * _ref_u_logderiv(ctx, a2, x)
+    lnx = cmath.log(x)
+    bracket = (params.surface.m / params.ell) * _ref_u_logderiv(ctx, a1, lnx) \
+        + (params.surface.n / params.ell_star) * _ref_u_logderiv(ctx, a2, lnx)
     return -ctx.N * params.lam * math.log(ctx.q) * bracket
 
 
@@ -105,30 +84,29 @@ def reference_f_type_a_series(ctx, params, x):
     D1 = _ref_nome(ctx, params.ell).logderiv
     D2 = _ref_nome(ctx, params.ell_star).logderiv
 
-    def I(y):
-        y2 = y * y
-        return (params.surface.m / params.ell) * D1(y2) \
-            + (params.surface.n / params.ell_star) * D2(y2)
+    def I(lny):
+        return (params.surface.m / params.ell) * D1(2.0 * lny) \
+            + (params.surface.n / params.ell_star) * D2(2.0 * lny)
 
     return -2.0 * ctx.N * params.lam * math.log(ctx.q) \
-        * _ref_second_difference(I, ctx, x)
+        * _ref_second_difference(I, ctx, cmath.log(x))
 
 
 def reference_f_type_b(ctx, params, x):
     """f(x) = -N lambda ln(q) ((m+n)/d) x d/dx [
           (1 + mu^2/(mn)) ln U_{q^{2N/d}}(x) - (d mu/(mn)) ln U_{q^{2N}}(x)
         + (d/(mn)) sum_{k=1}^{mu-1} (k - mu) ln(U_{q^{2N}}(s^k x) U_{q^{2N}}(s^-k x)) ]
-    with s = q^{-N lambda/m}."""
+    with s = q^{-N lambda/m}, so ln s^k = -k N (lambda/m) ln q."""
     m, n = params.surface.m, params.surface.n
     d, mu = params.d, params.mu
     a_d, a_full = _ref_nome(ctx, d), _ref_nome(ctx, 1)
-    ks = range(1, mu)
-    shifts = _ref_shift_powers(ctx, -ctx.N * float(params.lam / m), ks)
-    bracket = (1.0 + mu * mu / (m * n)) * _ref_u_logderiv(ctx, a_d, x)
-    bracket -= (d * mu / (m * n)) * _ref_u_logderiv(ctx, a_full, x)
-    for k, sk in zip(ks, shifts):
-        term = _ref_u_logderiv(ctx, a_full, sk * x) \
-            + _ref_u_logderiv(ctx, a_full, x / sk)
+    ln_s = -ctx.N * float(params.lam / m) * math.log(ctx.q)
+    lnx = cmath.log(x)
+    bracket = (1.0 + mu * mu / (m * n)) * _ref_u_logderiv(ctx, a_d, lnx)
+    bracket -= (d * mu / (m * n)) * _ref_u_logderiv(ctx, a_full, lnx)
+    for k in range(1, mu):
+        term = _ref_u_logderiv(ctx, a_full, lnx + k * ln_s) \
+            + _ref_u_logderiv(ctx, a_full, lnx - k * ln_s)
         bracket += (d / (m * n)) * (k - mu) * term
     pref = -ctx.N * float(params.lam) * math.log(ctx.q) * (m + n) / d
     return pref * bracket
@@ -137,23 +115,23 @@ def reference_f_type_b(ctx, params, x):
 def reference_f_type_b_series(ctx, params, x):
     """The triple Lambert sum with weights (1 + mu^2/mn), d mu/mn and
     (d/mn)(k - mu) over k = 0..mu-1, combined as
-    f = -2 N lambda ln(q) ((m+n)/d) (2I(x) - I(qx) - I(x/q))."""
+    f = -2 N lambda ln(q) ((m+n)/d) (2I(x) - I(qx) - I(x/q)); the shift
+    p = q^{-2N lambda/m} enters as ln p^k = -2 k N (lambda/m) ln q."""
     m, n = params.surface.m, params.surface.n
     d, mu = params.d, params.mu
     D_d, D_full = _ref_nome(ctx, d).logderiv, _ref_nome(ctx, 1).logderiv
-    ks = range(mu)
-    shifts = _ref_shift_powers(ctx, -2.0 * ctx.N * float(params.lam / m), ks)
+    ln_p = -2.0 * ctx.N * float(params.lam / m) * math.log(ctx.q)
 
-    def I(y):
-        y2 = y * y
-        total = (1.0 + mu * mu / (m * n)) * D_d(y2)
-        total += (d * mu / (m * n)) * D_full(y2)
-        for k, pk in zip(ks, shifts):
-            total += (d / (m * n)) * (k - mu) * (D_full(pk * y2) - D_full(pk / y2))
+    def I(lny):
+        total = (1.0 + mu * mu / (m * n)) * D_d(2.0 * lny)
+        total += (d * mu / (m * n)) * D_full(2.0 * lny)
+        for k in range(mu):
+            total += (d / (m * n)) * (k - mu) * (D_full(k * ln_p + 2.0 * lny)
+                                                 - D_full(k * ln_p - 2.0 * lny))
         return total
 
     pref = -2.0 * ctx.N * float(params.lam) * math.log(ctx.q) * (m + n) / d
-    return pref * _ref_second_difference(I, ctx, x)
+    return pref * _ref_second_difference(I, ctx, cmath.log(x))
 
 
 REFERENCE = {
@@ -331,7 +309,27 @@ class TestThetaLogDerivative:
         # small-nome limit D_a(x) = x/(1 - x) + O(a)
         D = _DualNome(T).logderiv
         for x in (0.5, -0.3 + 0.4j, 2.5j):
-            assert abs(D(x) - x / (1 - x)) <= 1e-12 * (1 + abs(x / (1 - x)))
+            assert abs(D(cmath.log(x)) - x / (1 - x)) <= 1e-12 * (1 + abs(x / (1 - x)))
+
+    def test_pole_beyond_float_range_named_by_its_log(self):
+        # the zero x = a^-1 = e^800 of theta_a overflows a float as a point,
+        # but not as a log
+        with pytest.raises(PoleError, match=r"\(x=exp\(\(800\+0j\)\)\)$"):
+            _DualNome(800.0).logderiv(800.0 + 0j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log10_t=st.floats(-1, 3), re=st.floats(-20, 20),
+           im=st.floats(-math.pi, math.pi), k=st.integers(-3, 3))
+    def test_kernel_takes_any_branch_of_the_log(self, log10_t, re, im, k):
+        # ln x + 2 pi i k names the same point x; the kernel reduces it.
+        # Within 1e-2 of a zero x = a^j the rounding of im + 2 pi k moves D
+        # by more than 1e-12 of its size, so those points are left out.
+        T = 10.0 ** log10_t
+        assume(abs(complex(re + round(-re / T) * T, im)) > 1e-2)
+        D = _DualNome(T).logderiv
+        base = D(complex(re, im))
+        shifted = D(complex(re, im + 2.0 * math.pi * k))
+        assert abs(shifted - base) <= 1e-12 * (1.0 + abs(base))
 
     @pytest.mark.parametrize("delta", [1e-7, -1e-6, 3e-8j])
     def test_accurate_next_to_zero_at_one(self, delta):
@@ -513,12 +511,26 @@ class TestRouteEquivalence:
     def test_near_unit_nome_taken_from_log(self):
         # S(997,1), lambda = 2, q = 0.99: f(0.8) sits close to a pole, so it
         # moves by 1.7e-6 when T comes from the rounded float q^(6/997)
-        # (8e-13 off); 40-digit mpmath of the same sums with T = 6 ln(1/q)/997
-        # gives the reference
+        # (8e-13 off), and by 6.4e-10 when the compact route squares 0.8 in
+        # floats instead of doubling ln 0.8; 40-digit mpmath of the same sums
+        # with T = 6 ln(1/q)/997 gives the reference
         ctx = EllipticContext(N=3, q=0.99)
         params = params_for_line(Surface(997, 1), LambdaPair.from_lambda(2))
         for f in (f_compact, f_series):
-            assert rel_err(f(ctx, params, 0.8), 517540.902858901711) <= 1e-8
+            assert rel_err(f(ctx, params, 0.8), 517540.902858901711) <= 1e-10
+
+    # 50-digit mpmath sums of the series route in the nome itself, with q
+    # taken as its exact float value: y^2 = 0.64 q^2 underflows and
+    # (s^5 0.8)^2 = 0.64e400 overflows a float, but not their logs
+    @pytest.mark.parametrize("surface,lam,q,expect", [
+        (Surface(1, 2), F(1, 3), 1e-200, -6293.732587517060),
+        (Surface(6, 3), F(8, 3), 1e-30, -7552.479105020472),
+    ], ids=["1,2:1/3", "6,3:8/3"])
+    def test_arguments_outside_float_range(self, surface, lam, q, expect):
+        ctx = EllipticContext(N=3, q=q)
+        params = params_for_line(surface, LambdaPair.from_lambda(lam))
+        for f in (f_compact, f_series):
+            assert abs(f(ctx, params, 0.8) - expect) <= 1e-12 * abs(expect)
 
     def test_small_q_value_unchanged(self):
         # f at x = 0.8 on S(1,1), lambda = 2, q = 1e-20, as printed by the
