@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -106,11 +107,7 @@ def _lambda_dict(lam: LambdaPair | None) -> dict | None:
 
 
 def _verdict_dict(v: lattice.AbelianityVerdict) -> dict:
-    wit = None
-    if v.witnesses is not None:
-        wit = {k: getattr(v.witnesses, k)
-               for k in ("d", "gamma", "gamma_prime", "g")
-               if getattr(v.witnesses, k) is not None}
+    wit = None if v.witnesses is None else dataclasses.asdict(v.witnesses)
     return {"tag": v.tag.value, "abelian": v.is_abelian,
             "witnesses": wit, "n_caveat": v.n_caveat}
 
@@ -125,22 +122,18 @@ def _line_dict(line: lattice.LineParams | None) -> dict | None:
 
 
 def emit(report, fmt: str = "json") -> str:
-    """Serialize a report deterministically (fixed field order)."""
+    """Serialize a report deterministically: JSON, or CSV from (header, rows)."""
     if fmt == "json":
         return json.dumps(report)
-    if fmt == "csv":
-        header, rows = report
-        lines = [",".join(header)]
-        lines += [",".join(row) for row in rows]
-        return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}")
+    header, rows = report
+    lines = [",".join(header)]
+    lines += [",".join(row) for row in rows]
+    return "\n".join(lines)
 
 
 def _write_output(text: str, out_path: str | None) -> None:
+    text += "\n"
     sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-        text += "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

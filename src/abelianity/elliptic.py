@@ -75,10 +75,6 @@ class EllipticContext:
             raise DomainError(f"q must lie in (0,1), got {self.q}")
 
 
-def _finite(v: complex) -> bool:
-    return math.isfinite(v.real) and math.isfinite(v.imag)
-
-
 def theta(a: float, z: complex) -> complex:
     """Short Jacobi theta theta_a(z) = (z;a)_inf (a/z;a)_inf.
 
@@ -90,7 +86,7 @@ def theta(a: float, z: complex) -> complex:
     if not 0.0 < a < 1.0:
         raise DomainError(f"nome must lie in (0,1), got {a}")
     z = complex(z)
-    if z == 0 or not _finite(z):
+    if z == 0 or not cmath.isfinite(z):
         raise DomainError("theta argument must be finite and nonzero")
     lna = math.log(a)
     try:
@@ -107,7 +103,7 @@ def theta(a: float, z: complex) -> complex:
         prod *= (1.0 - zr * an) * (1.0 - a * an / zr)
         an *= a
     val = prefactor * prod
-    if not _finite(val):
+    if not cmath.isfinite(val):
         raise DomainError(f"theta_{a}({z}) lies outside float range")
     return val
 
@@ -202,7 +198,7 @@ class _DualNome:
             val = num / (den * den)
         except ZeroDivisionError:  # den underflowed away from any pole
             val = 0j
-        if val == 0 or not _finite(val):
+        if val == 0 or not cmath.isfinite(val):
             raise DomainError("U value lies outside float range")
         return val
 
@@ -246,7 +242,7 @@ class _DualNome:
             return v
         if abs(self.log_const) < 700.0:
             out = math.exp(self.log_const) * v
-            if _finite(out):
+            if cmath.isfinite(out):
                 return out
         if v == 0:
             return v
@@ -353,7 +349,7 @@ class ShiftPlan:
         for i in self._den:
             val /= vals[i]
         # no factor sits at a zero: 0 is an underflow as inf is an overflow
-        if val == 0 or not _finite(val):
+        if val == 0 or not cmath.isfinite(val):
             raise DomainError(f"exchange value at x={x} lies outside float range")
         return val
 

@@ -143,12 +143,12 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class Witnesses:
-    """Integer witnesses attached to a verdict (unused slots stay None)."""
+    """Integer witnesses (d, gamma, gamma', g) of a condition-2 verdict."""
 
-    d: int | None = None
-    gamma: int | None = None
-    gamma_prime: int | None = None
-    g: int | None = None
+    d: int
+    gamma: int
+    gamma_prime: int
+    g: int
 
 
 @dataclass(frozen=True)
@@ -189,11 +189,11 @@ class LambdaFamily:
     member has integer lambda and the family degenerates into the integer
     classification (integer_degenerate is True).  A member is formed over
     the common denominator d g as one integer numerator
-    (gamma'*ell*d + gamma) g + k n d and classified on integers; only
-    `lambda_pair` makes `Fraction`s.  Construction checks each witness by its
-    defining equation, then members k = -2..2 (kept in `checked`): the
-    condition-2 predicate must give d and the verdict core (Condition2, (d,
-    gamma, gamma', g)), or (IntegerLambda, None) when integer-degenerate.
+    (gamma'*ell*d + gamma) g + k n d and classified on integers.  Construction
+    checks each witness by its defining equation (0 <= ell' < |m/g| for the
+    Bezout pair), then members k = -2..2 (kept in `checked`): the condition-2
+    predicate must give d and the verdict core (Condition2, (d, gamma,
+    gamma', g)), or (IntegerLambda, None) when integer-degenerate.
     """
 
     surface: Surface
@@ -211,7 +211,9 @@ class LambdaFamily:
         m, n = self.surface.m, self.surface.n
         if self.g != math.gcd(m, n) or not 0 < self.gamma < self.d \
                 or math.gcd(self.gamma, self.d) != 1 or (m + n) % self.d \
-                or self.gamma_prime * self.g + self.gamma * ((m + n) // self.d) != 1:
+                or self.gamma_prime * self.g + self.gamma * ((m + n) // self.d) != 1 \
+                or self.ell * (m // self.g) + self.ell_prime * (n // self.g) != 1 \
+                or not 0 <= self.ell_prime < abs(m // self.g):
             raise CrossCheckError(f"family {self}: a witness fails its defining equation")
         expected = (Verdict.INTEGER_LAMBDA, None) if self.integer_degenerate \
             else (Verdict.CONDITION2, (self.d, self.gamma, self.gamma_prime, self.g))
@@ -246,10 +248,6 @@ class LambdaFamily:
             return self.checked[k + 2]
         num, den, reduced = self._integers(k)
         return num, den, _classify_reduced(self.surface, reduced)[0]
-
-    def lambda_pair(self, k: int) -> LambdaPair:
-        num, den, _ = self._integers(k)
-        return LambdaPair(Fraction(num, den), Fraction(den - num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +493,13 @@ def super_abelianity_check(m: int, lam: int) -> SuperAbelianityVerdict:
 
     Passes iff (1) m odd, (2) gcd(m, lambda) = 1, (3) gcd(m, beta0'+1) = 1,
     where beta0*m - beta0'*lambda = 1 with the canonical 1 <= beta0' <= m-1.
-    Negative m is reduced to |m| (recorded on the verdict).  m=1 is the
-    critical-level surface: trivially super-abelian for every lambda.
+    Negative m is reduced to |m| (recorded on the verdict).  On the critical
+    level m=1 every test passes (beta0' = 0, beta0 = 1) for every lambda.
     """
     if m == 0:
         raise ValueError("m must be nonzero")
     reduced_from = m if m < 0 else None
     m = abs(m)
-    if m == 1:
-        return SuperAbelianityVerdict(True, beta0=1, beta0_prime=0,
-                                      m_reduced_from=reduced_from)
     if m % 2 == 0:
         return SuperAbelianityVerdict(False, failed_condition=1,
                                       m_reduced_from=reduced_from)
@@ -512,7 +507,7 @@ def super_abelianity_check(m: int, lam: int) -> SuperAbelianityVerdict:
         # no Bezout pair exists; reported, not raised
         return SuperAbelianityVerdict(False, failed_condition=2,
                                       m_reduced_from=reduced_from)
-    beta0_prime = (-pow(lam, -1, m)) % m  # in 1..m-1
+    beta0_prime = (-pow(lam, -1, m)) % m  # in 1..m-1, or 0 when m = 1
     beta0 = (1 + beta0_prime * lam) // m
     if beta0 * m - beta0_prime * lam != 1:
         raise CrossCheckError(f"no Bezout pair beta0, beta0' for m={m}, lambda={lam}")

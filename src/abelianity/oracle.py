@@ -5,7 +5,8 @@ evaluated at arguments q^{N t} x.  Since U is q^N-periodic and depends only
 on the squared argument, the ratio is identically 1 exactly when the signed
 multiset of exponents t, reduced mod 1, cancels completely.  This module
 decides that cancellation symbolically, independently of the integer
-classification in `lattice`.
+classification in `lattice`.  A whole surface (m = 0 or n = 0) is abelian
+by its surface relation, and its multiset is empty without counting.
 
 Every exponent is a multiple of a few rationals j/d, so a multiset is kept
 as integer residues k of k/L mod 1 over a common modulus L.  The exchange
@@ -133,25 +134,15 @@ def _exchange_counts(m: int, n: int, a: int, d: int, b: int, dp: int) -> tuple[d
     """`exchange_exponents` as (counts, L), keys k of t = k/L, on integers.
 
     The closed form of counting the lists of `_exchange_residues` term by
-    term: with lambda/m = a/d and lambda*/n = b/d' in lowest terms (unused on
-    a whole surface), the lambda products leave the multipliers
-    `_cycle_remainder(d, |m|)` of a/d, and the lambda* products those of b/d'
-    with numerator and denominator swapped, keyed mod L = lcm(d, d').  On
-    S_{0,n}, t = l e with e = -1/n, and since |n| e is an integer the lists
-    are that remainder for (e, |n|) over the residue 0; S_{m,0} is the
-    reciprocal of S_{0,m}.  At most (d + d')/2 multipliers are counted,
-    whatever |m| and |n|."""
-    counts: dict[int, int] = {}
+    term: with lambda/m = a/d and lambda*/n = b/d' in lowest terms, the
+    lambda products leave the multipliers `_cycle_remainder(d, |m|)` of a/d,
+    and the lambda* products those of b/d' with numerator and denominator
+    swapped, keyed mod L = lcm(d, d').  At most (d + d')/2 multipliers are
+    counted, whatever |m| and |n|.  On a whole surface t = l e with |n| e an
+    integer, so the lists cancel mod L and the counts are empty."""
     if m == 0 or n == 0:
-        k = m or n
-        modulus = abs(k)
-        num, den = _cycle_remainder(modulus, modulus)
-        zero = -1
-        if n == 0:
-            num, den, zero = den, num, 1
-        _tally(counts, -1 if k > 0 else 1, modulus, num, den, 1)
-        counts[0] = counts.get(0, 0) + zero
-        return counts, modulus
+        return {}, 1
+    counts: dict[int, int] = {}
     modulus = math.lcm(d, dp)
     _tally(counts, a, d, *_cycle_remainder(d, abs(m)), modulus // d)
     den, num = _cycle_remainder(dp, abs(n))
@@ -161,11 +152,13 @@ def _exchange_counts(m: int, n: int, a: int, d: int, b: int, dp: int) -> tuple[d
 
 def exchange_exponents(s: Surface, lam: LambdaPair | None = None) -> ExponentMultiset:
     """Signed exponent multiset of the exchange function on s at coordinate
-    lam (None only on a whole surface), from `_exchange_counts`."""
-    if lam is None and not s.is_whole_surface_abelian():
+    lam, from `_exchange_counts`; empty on a whole surface, where lam may be
+    None."""
+    if s.is_whole_surface_abelian():
+        return ExponentMultiset(1, ())
+    if lam is None:
         raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
-    reduced = (0, 1, 0, 1) if s.is_whole_surface_abelian() else lam.over(s.m, s.n)
-    return ExponentMultiset._from_counts(*_exchange_counts(s.m, s.n, *reduced))
+    return ExponentMultiset._from_counts(*_exchange_counts(s.m, s.n, *lam.over(s.m, s.n)))
 
 
 def is_abelian(mset: ExponentMultiset) -> bool:

@@ -40,6 +40,7 @@ from abelianity import (
     verification_grid,
     yfunc,
 )
+from reference_family import reference_lambda_pair
 
 BOX = 6
 N = 3
@@ -335,7 +336,7 @@ def test_criterion_9_realizations():
             if not fams:
                 continue
             fam = rng.choice(fams)
-            lam = fam.lambda_pair(rng.randint(-2, 2)).lam
+            lam = reference_lambda_pair(fam, rng.randint(-2, 2)).lam
             if lam.denominator > 8 or lam in (0, 1):
                 continue
         pair = LambdaPair.from_lambda(lam)

@@ -17,6 +17,7 @@ from abelianity import (Surface, Verdict, classify_lambda, exchange_exponents,
                         lattice, solve_condition2)
 from abelianity.cli import _frac_str, main
 from abelianity.elliptic import PoleError
+from reference_family import reference_lambda_pair
 
 # sha256 of the `scan --box=6` output, recorded before the exact layer moved
 # from Fraction to integer residues; the sweep must stay byte-identical
@@ -126,8 +127,9 @@ class TestEnumerateLines:
     @pytest.mark.parametrize("extra", [("--N=2",), ("--k-min=-6", "--k-max=6")],
                              ids=["N2", "k6"])
     def test_members_match_lambda_pair_and_classify(self, capsys, surface, extra):
-        """Each printed member is lambda_pair(k) and its classify_lambda tag,
-        although the command classifies it only once, on integers."""
+        """Each printed member is member k of the family formula
+        (`reference_lambda_pair`) and its classify_lambda tag, although the
+        command classifies it only once, on integers."""
         rc, out = run(capsys, "enumerate-lines", f"--surface={surface}", *extra)
         assert rc == 0
         doc = json.loads(out)
@@ -140,7 +142,7 @@ class TestEnumerateLines:
             assert [m["k"] for m in printed["members"]] == \
                 list(range(-6, 7) if "--k-max=6" in extra else range(-2, 3))
             for member in printed["members"]:
-                pair = fam.lambda_pair(member["k"])
+                pair = reference_lambda_pair(fam, member["k"])
                 assert member == {
                     "k": member["k"], "lambda": _frac_str(pair.lam),
                     "lambda_star": _frac_str(pair.lam_star),

@@ -34,10 +34,12 @@ from abelianity import (
 from abelianity import lattice
 from abelianity.lattice import (
     AbelianityVerdict,
+    SuperAbelianityVerdict,
     Witnesses,
     _bezout_min_second,
     _condition2_d,
 )
+from reference_family import reference_lambda_pair
 
 surfaces = st.tuples(st.integers(-8, 8), st.integers(-8, 8)) \
     .filter(lambda t: t != (0, 0)).map(lambda t: Surface(*t))
@@ -151,7 +153,8 @@ def intersecting_pairs(draw):
         else:
             fams = solve_condition2(s1) if m + n else []
             assume(fams)
-            lam = draw(st.sampled_from(fams)).lambda_pair(draw(st.integers(-4, 4))).lam
+            fam = draw(st.sampled_from(fams))
+            lam = reference_lambda_pair(fam, draw(st.integers(-4, 4))).lam
         assume(lam not in (0, 1))
         s2 = realize_line_as_intersections(s1, LambdaPair.from_lambda(lam), 1)[0]
     assume(intersect_surfaces(s1, s2) is not None)
@@ -175,7 +178,8 @@ def lines_on_wide_surfaces(draw):
         assume(s.m and s.n and s.m + s.n)
         fams = solve_condition2(s)
         assume(fams)
-        lam = draw(st.sampled_from(fams)).lambda_pair(draw(st.integers(-4, 4))).lam
+        fam = draw(st.sampled_from(fams))
+        lam = reference_lambda_pair(fam, draw(st.integers(-4, 4))).lam
     return s, LambdaPair.from_lambda(lam)
 
 
@@ -609,7 +613,7 @@ class TestSolveCondition2:
     def test_families_on_1_2(self):
         fams = solve_condition2(Surface(1, 2))
         assert {(f.d, f.gamma) for f in fams} == {(3, 1), (3, 2)}
-        lambdas = {f.lambda_pair(0).lam for f in fams}
+        lambdas = {reference_lambda_pair(f, 0).lam for f in fams}
         assert F(1, 3) in lambdas
 
     def test_extended_center_surface_rejected(self):
@@ -632,7 +636,7 @@ class TestSolveCondition2:
         assert degenerate
         for f in degenerate:
             for k in range(-2, 3):
-                pair = f.lambda_pair(k)
+                pair = reference_lambda_pair(f, k)
                 assert pair.lam.denominator == 1
                 assert classify_lambda(Surface(2, 4), pair).tag \
                     is Verdict.INTEGER_LAMBDA
@@ -664,7 +668,7 @@ class TestSolveCondition2:
 
         for f in fams:
             for k in range(-3, 4):
-                pair = f.lambda_pair(k)
+                pair = reference_lambda_pair(f, k)
                 assert raw_condition2(s, pair.lam) == f.d
 
     @given(st.integers(-40, 40).filter(bool), st.integers(-40, 40).filter(bool))
@@ -680,7 +684,7 @@ class TestSolveCondition2:
             assert len(f.checked) == 5
             for k in range(-6, 7):
                 over_m = f.gamma_prime * f.ell + F(f.gamma, f.d) + k * F(n, f.g)
-                pair = f.lambda_pair(k)
+                pair = reference_lambda_pair(f, k)
                 num, den, tag = f.member(k)
                 assert (num, den) == (pair.lam.numerator, pair.lam.denominator)
                 assert tag is reference_classify_lambda(s, pair).tag
@@ -712,13 +716,17 @@ class TestSolveCondition2:
     @pytest.mark.parametrize("mn", [(2, 1), (1, 2), (5, 4), (2, 4)])
     @pytest.mark.parametrize("name,delta", [("d", 1), ("d", -1), ("gamma", 1),
                                             ("gamma", -1), ("g", 1), ("g", -1),
-                                            ("gamma_prime", 2)])
+                                            ("gamma_prime", 2), ("ell", 1),
+                                            ("ell", -1), ("ell_prime", 1),
+                                            ("ell_prime", -1)])
     def test_perturbed_family_is_caught(self, mn, name, delta):
-        """Every family of the surface, rebuilt by hand with d, gamma or g
-        off by one or gamma' off by two, fails its self-check with a
+        """Every family of the surface, rebuilt by hand with d, gamma, g, ell
+        or ell' off by one or gamma' off by two, fails its self-check with a
         CrossCheckError, also where g - 1 = 0, and on the integer-degenerate
         family of S_{2,4}, whose members k = -2..2 are true members at other
-        k when g or gamma' is wrong."""
+        k when g or gamma' is wrong.  No member depends on ell', and a wrong
+        ell can leave the members k = -2..2 true members at other k, so only
+        the Bezout equation and the range of ell' see those two."""
         for fam in solve_condition2(Surface(*mn)):
             with pytest.raises(CrossCheckError):
                 dataclasses.replace(fam, **{name: getattr(fam, name) + delta})
@@ -747,8 +755,13 @@ class TestSuperAbelianity:
         assert v.m_reduced_from == -9 and v.failed_condition == 3
 
     def test_m_one_is_critical_level(self):
-        for lam in (-3, 0, 1, 7):
-            assert super_abelianity_check(1, lam).super_abelian
+        """On m = +-1 the general test passes for every lambda, with the
+        Bezout pair beta0' = 0, beta0 = 1."""
+        for m in (1, -1):
+            for lam in range(-50, 51):
+                assert super_abelianity_check(m, lam) == SuperAbelianityVerdict(
+                    True, failed_condition=None, beta0=1, beta0_prime=0,
+                    m_reduced_from=None if m == 1 else -1)
 
     def test_canonical_bezout_range(self):
         for m in range(3, 16, 2):
@@ -902,7 +915,7 @@ def abelian_lines(draw):
                 draw(st.integers(-8, 8).filter(bool)))
     lams = [F(v) for v in range(-9, 10) if v not in (0, 1)]
     if s.m + s.n != 0:
-        lams += [fam.lambda_pair(k).lam for fam in solve_condition2(s)
+        lams += [reference_lambda_pair(fam, k).lam for fam in solve_condition2(s)
                  for k in range(-2, 3)]
     lam = LambdaPair.from_lambda(draw(st.sampled_from(lams)))
     assume(lam.lam not in (0, 1) and classify_lambda(s, lam).is_abelian)

@@ -87,10 +87,12 @@ class TestExchangeExponents:
         assert mset.is_empty()
 
     def test_whole_surface(self):
-        assert exchange_exponents(Surface(0, 3)).is_empty()
-        assert exchange_exponents(Surface(0, -3)).is_empty()
-        assert exchange_exponents(Surface(4, 0)).is_empty()
-        assert exchange_exponents(Surface(-4, 0)).is_empty()
+        """A whole surface gives the empty multiset, with or without lambda."""
+        pairs = [None] + [LambdaPair.from_lambda(v) for v in (F(2, 5), 0, 1, -7)]
+        for k in (1, -1, 3, -3, 4, -4, 12, -300):
+            for s in (Surface(0, k), Surface(k, 0)):
+                for pair in pairs:
+                    assert exchange_exponents(s, pair) == ExponentMultiset(1, ())
 
     def test_residual_multiset(self):
         mset = exchange_exponents(Surface(2, 5), LambdaPair.from_lambda(F(-2, 3)))
@@ -220,6 +222,17 @@ class TestClosedForm:
         s = Surface(0, k) if on_n else Surface(k, 0)
         assert exchange_exponents(s) == \
             ExponentMultiset.build(*_exchange_lists(s, None))
+
+    def test_whole_surface_lists_cancel(self):
+        """The lists of `_exchange_residues` cancel mod L on every S_{0,k} and
+        S_{k,0}, 1 <= |k| <= 300: the fact `_exchange_counts` states there
+        instead of counting."""
+        for k in range(1, 301):
+            for s in (Surface(0, k), Surface(0, -k), Surface(k, 0), Surface(-k, 0)):
+                modulus, num, den = _exchange_residues(s, None)
+                assert len(num) == len(den) == k
+                assert sorted(t % modulus for t in num) == \
+                    sorted(t % modulus for t in den)
 
     @given(st.integers(1, 400), st.integers(-1000, 1000))
     @settings(max_examples=200, deadline=None)

@@ -29,6 +29,7 @@ from abelianity import (
     verification_grid,
 )
 from abelianity.elliptic import _DualNome
+from reference_family import reference_lambda_pair
 
 CTX = EllipticContext(N=3, q=0.6)
 
@@ -419,7 +420,7 @@ def poisson_lines(draw):
     families = solve_condition2(s) if m + n else []
     if families and draw(st.booleans()):
         family = draw(st.sampled_from(families))
-        lam = family.lambda_pair(draw(st.integers(-2, 2))).lam
+        lam = reference_lambda_pair(family, draw(st.integers(-2, 2))).lam
         return PoissonParamsB.from_line(s, lam)
     return PoissonParamsA.from_line(s, draw(st.integers(-6, 6).filter(
         lambda v: v not in (0, 1))))
