@@ -1,11 +1,14 @@
 """Command-line interface: classification, enumeration and verification.
 
 Machine-readable output: JSON documents (one object, or one object per line
-for `scan`) and CSV for `poisson`.  Rationals are always serialized exactly
-as "a/b" strings, never as floats.  Exit codes: 0 success, 1 verification
-mismatch (exact verdict and numeric witness disagree, or no grid point
-could be evaluated), 2 invalid input.  A reader that closes stdout early
-(`scan ... | head`) ends the command quietly with exit code 0.
+for `scan`) and CSV for `poisson`.  Every JSON document is in `json.dumps`'
+default form (", " and ": " separators); `enumerate-lines` writes its
+document directly in that form instead of building a dict tree for it.
+Rationals are always serialized exactly as "a/b" strings, never as
+floats.  Exit codes: 0 success, 1 verification mismatch (exact verdict
+and numeric witness disagree, or no grid point could be evaluated), 2
+invalid input.  A reader that closes stdout early (`scan ... | head`)
+ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -191,21 +194,27 @@ def _cmd_enumerate_lines(args) -> int:
     if args.k_min > args.k_max:
         raise ValueError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     ks = range(args.k_min, args.k_max + 1)
+    # the document is written as the text json.dumps gives for
+    # {"surface", "N", "families": [{"d", ..., "members": [{"k", ...}]}]}:
+    # same keys in the same order, ", " and ": " separators
+    tags = {v: json.dumps(v.value) for v in lattice.Verdict}
     fams = []
     for fam in lattice.solve_condition2(s):
         members = []
         for k in ks:
             num, den, tag = fam.member(k)
-            members.append({"k": k, "lambda": _int_frac_str(num, den),
-                            "lambda_star": _int_frac_str(den - num, den),
-                            "tag": tag.value})
-        fams.append({"d": fam.d, "gamma": fam.gamma,
-                     "gamma_prime": fam.gamma_prime, "g": fam.g,
-                     "ell": fam.ell, "ell_prime": fam.ell_prime,
-                     "integer_degenerate": fam.integer_degenerate,
-                     "members": members})
-    report = {"surface": _surface_dict(s), "N": args.N, "families": fams}
-    _write_output(emit(report), args.out)
+            # lambda = num/den and lambda* = (den - num)/den are both in
+            # lowest terms, so they share the "/den" (none when den == 1)
+            over = "" if den == 1 else f"/{den}"
+            members.append(f'{{"k": {k}, "lambda": "{num}{over}", '
+                           f'"lambda_star": "{den - num}{over}", "tag": {tags[tag]}}}')
+        fams.append(f'{{"d": {fam.d}, "gamma": {fam.gamma}, '
+                    f'"gamma_prime": {fam.gamma_prime}, "g": {fam.g}, '
+                    f'"ell": {fam.ell}, "ell_prime": {fam.ell_prime}, '
+                    f'"integer_degenerate": {"true" if fam.integer_degenerate else "false"}, '
+                    f'"members": [{", ".join(members)}]}}')
+    _write_output(f'{{"surface": {emit(_surface_dict(s))}, "N": {args.N}, '
+                  f'"families": [{", ".join(fams)}]}}', args.out)
     return 0
 
 

@@ -1,8 +1,9 @@
-"""Reference member of a cross-cancellation family, in Fraction arithmetic."""
+"""Reference members and documents of cross-cancellation families, built
+from Fraction arithmetic and plain dicts."""
 
 from fractions import Fraction as F
 
-from abelianity import LambdaPair
+from abelianity import LambdaPair, Surface, solve_condition2
 
 
 def reference_lambda_pair(fam, k: int) -> LambdaPair:
@@ -15,3 +16,22 @@ def reference_lambda_pair(fam, k: int) -> LambdaPair:
     lam_star = n * (fam.gamma_prime * fam.ell_prime + F(fam.gamma, fam.d)
                     - k * F(m, fam.g))
     return LambdaPair(lam, lam_star)
+
+
+def reference_enumerate_document(s: Surface, ks, N: int) -> dict:
+    """The `enumerate-lines --surface=m,n --N=N` document over members k in
+    ks as a dict tree; `json.dumps` of it is the command's output."""
+    fams = []
+    for fam in solve_condition2(s):
+        members = []
+        for k in ks:
+            num, den, tag = fam.member(k)
+            members.append({"k": k, "lambda": str(F(num, den)),
+                            "lambda_star": str(F(den - num, den)),
+                            "tag": tag.value})
+        fams.append({"d": fam.d, "gamma": fam.gamma,
+                     "gamma_prime": fam.gamma_prime, "g": fam.g,
+                     "ell": fam.ell, "ell_prime": fam.ell_prime,
+                     "integer_degenerate": fam.integer_degenerate,
+                     "members": members})
+    return {"surface": {"m": s.m, "n": s.n}, "N": N, "families": fams}

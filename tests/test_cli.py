@@ -1,7 +1,9 @@
 """CLI surface tests: exact JSON/CSV output, determinism, exit codes."""
 
 import cmath
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import abelianity
 from abelianity import (Surface, Verdict, classify_lambda, exchange_exponents,
@@ -17,7 +20,7 @@ from abelianity import (Surface, Verdict, classify_lambda, exchange_exponents,
                         lattice, solve_condition2)
 from abelianity.cli import _frac_str, main
 from abelianity.elliptic import PoleError
-from reference_family import reference_lambda_pair
+from reference_family import reference_enumerate_document, reference_lambda_pair
 
 # sha256 of the `scan --box=6` output, recorded before the exact layer moved
 # from Fraction to integer residues; the sweep must stay byte-identical
@@ -28,6 +31,15 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """actual == expected, reported at the first differing character:
+    pytest's own diff of two long one-line documents runs for minutes."""
+    if actual != expected:
+        i = len(os.path.commonprefix([actual, expected]))
+        pytest.fail(f"texts differ at character {i} of {len(actual)}/{len(expected)}: "
+                    f"{actual[i - 30:i + 30]!r} != {expected[i - 30:i + 30]!r}")
 
 
 def assert_routes_agree(capsys, argv):
@@ -123,30 +135,51 @@ class TestEnumerateLines:
         assert rc == 2
 
     @pytest.mark.parametrize("surface", ["2,2", "2,4", "5,4", "-3,7", "6,-1",
-                                         "-9,-3", "12,5"])
-    @pytest.mark.parametrize("extra", [("--N=2",), ("--k-min=-6", "--k-max=6")],
-                             ids=["N2", "k6"])
+                                         "-9,-3", "12,5", "3,-2"])
+    @pytest.mark.parametrize("extra", [("--N=2",), ("--k-min=-6", "--k-max=6"), (),
+                                       ("--k-min=4", "--k-max=4")],
+                             ids=["N2", "k6", "default", "k4"])
     def test_members_match_lambda_pair_and_classify(self, capsys, surface, extra):
-        """Each printed member is member k of the family formula
+        """The command writes its document as text, which must be
+        `json.dumps` of the dict tree built from the same families; each
+        printed member is member k of the family formula
         (`reference_lambda_pair`) and its classify_lambda tag, although the
-        command classifies it only once, on integers."""
+        command classifies it only once, on integers.  S(2,4) is
+        integer-degenerate, S(-9,-3) has g = 3, S(3,-2) has no family, and
+        k = 4 is a single member outside the self-checked k = -2..2."""
         rc, out = run(capsys, "enumerate-lines", f"--surface={surface}", *extra)
         assert rc == 0
-        doc = json.loads(out)
+        opts = dict(arg[2:].split("=") for arg in extra)
+        ks = range(int(opts.get("k-min", -2)), int(opts.get("k-max", 2)) + 1)
+        N = int(opts.get("N", 3))
         s = Surface(*(int(v) for v in surface.split(",")))
+        assert_same_text(out, json.dumps(reference_enumerate_document(s, ks, N)) + "\n")
+        doc = json.loads(out)
         fams = solve_condition2(s)
         assert len(doc["families"]) == len(fams)
-        N = doc["N"]
         for printed, fam in zip(doc["families"], fams):
             assert (printed["d"], printed["gamma"]) == (fam.d, fam.gamma)
-            assert [m["k"] for m in printed["members"]] == \
-                list(range(-6, 7) if "--k-max=6" in extra else range(-2, 3))
+            assert [m["k"] for m in printed["members"]] == list(ks)
             for member in printed["members"]:
                 pair = reference_lambda_pair(fam, member["k"])
                 assert member == {
                     "k": member["k"], "lambda": _frac_str(pair.lam),
                     "lambda_star": _frac_str(pair.lam_star),
                     "tag": classify_lambda(s, pair, N).tag.value}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-6, 6),
+           st.integers(0, 4), st.integers(2, 5))
+    def test_bytes_match_the_reference_property(self, m, n, k_min, width, N):
+        assume(m and n and m + n)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["enumerate-lines", f"--surface={m},{n}", f"--N={N}",
+                       f"--k-min={k_min}", f"--k-max={k_min + width}"])
+        assert rc == 0
+        expected = reference_enumerate_document(
+            Surface(m, n), range(k_min, k_min + width + 1), N)
+        assert_same_text(out.getvalue(), json.dumps(expected) + "\n")
 
     def test_reversed_k_range_is_exit_2(self, capsys):
         rc = main(["enumerate-lines", "--surface=2,2", "--k-min=3", "--k-max=1"])
@@ -562,6 +595,41 @@ class TestOutFile:
                       "--out", str(path))
         assert rc == 0
         assert path.read_text() == out
+
+    def test_enumerate_lines_bytes_identical(self, capsys, tmp_path):
+        path = tmp_path / "fam.json"
+        rc, out = run(capsys, "enumerate-lines", "--surface=-9,-3", "--N=2",
+                      "--k-min=-6", "--k-max=6", "--out", str(path))
+        assert rc == 0
+        assert path.read_bytes() == out.encode()
+
+
+class TestCanonicalJson:
+    """Every JSON document (every line of `scan`) is in `json.dumps`'
+    default form, so a writer that formats its text directly cannot drift
+    from it unnoticed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["intersect", "--s1=3,6", "--s2=2,5"],
+        ["intersect", "--s1=1,2", "--s2=1,5"],
+        ["classify", "--surface=2,2", "--lambda=1/2"],
+        ["enumerate-lines", "--surface=-9,-3", "--N=2", "--k-min=-6", "--k-max=6"],
+        ["enumerate-lines", "--surface=2,4"],
+        ["enumerate-lines", "--surface=3,-2"],
+        ["surfaces-through", "--s1=3,6", "--s2=2,5"],
+        ["verify-y", "--surface=2,2", "--lambda=1/2"],
+        ["verify-y", "--surface=5,4", "--lambda=1/3"],
+        ["verify-super", "--m=3", "--lambda=2"],
+        ["scan", "--box=2"],
+    ], ids=" ".join)
+    def test_round_trip(self, capsys, argv):
+        rc, out = run(capsys, *argv)
+        assert rc == 0
+        assert out.endswith("\n")
+        lines = out[:-1].split("\n")
+        assert lines[0]
+        for text in lines:
+            assert_same_text(text, json.dumps(json.loads(text)))
 
 
 class TestExitCodes:
