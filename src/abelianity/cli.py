@@ -2,13 +2,14 @@
 
 Machine-readable output: JSON documents (one object, or one object per line
 for `scan`) and CSV for `poisson`.  Every JSON document is in `json.dumps`'
-default form (", " and ": " separators); `enumerate-lines` writes its
-document directly in that form instead of building a dict tree for it.
+default form (", " and ": " separators); `enumerate-lines` and `scan`
+write theirs directly in that form instead of building dicts for them.
 Rationals are always serialized exactly as "a/b" strings, never as
 floats.  Exit codes: 0 success, 1 verification mismatch (exact verdict
 and numeric witness disagree, or no grid point could be evaluated), 2
-invalid input.  A reader that closes stdout early (`scan ... | head`)
-ends the command quietly with exit code 0.
+invalid input, including an --out path that cannot be written.  A
+reader that closes stdout early (`scan ... | head`) ends the command
+quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .lattice import LambdaPair, Surface
 # non-abelian lines must exceed COMPLETE_TOL somewhere on the grid
 SOUND_TOL = 1e-9
 COMPLETE_TOL = 1e-4
+
+
+# each verdict tag as the JSON text json.dumps gives for it
+_TAG_JSON = {v: json.dumps(v.value) for v in lattice.Verdict}
 
 
 def _frac_str(v: Fraction) -> str:
@@ -136,9 +141,11 @@ def emit(report, fmt: str = "json") -> str:
 
 def _write_output(text: str, out_path: str | None) -> None:
     text += "\n"
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
+    # --out is opened first: a path that cannot be written is an input error
+    # (exit 2) before anything reaches stdout, as in `scan`
+    with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
+        sys.stdout.write(text)
+        if fh:
             fh.write(text)
 
 
@@ -197,7 +204,6 @@ def _cmd_enumerate_lines(args) -> int:
     # the document is written as the text json.dumps gives for
     # {"surface", "N", "families": [{"d", ..., "members": [{"k", ...}]}]}:
     # same keys in the same order, ", " and ": " separators
-    tags = {v: json.dumps(v.value) for v in lattice.Verdict}
     fams = []
     for fam in lattice.solve_condition2(s):
         members = []
@@ -207,7 +213,7 @@ def _cmd_enumerate_lines(args) -> int:
             # lowest terms, so they share the "/den" (none when den == 1)
             over = "" if den == 1 else f"/{den}"
             members.append(f'{{"k": {k}, "lambda": "{num}{over}", '
-                           f'"lambda_star": "{den - num}{over}", "tag": {tags[tag]}}}')
+                           f'"lambda_star": "{den - num}{over}", "tag": {_TAG_JSON[tag]}}}')
         fams.append(f'{{"d": {fam.d}, "gamma": {fam.gamma}, '
                     f'"gamma_prime": {fam.gamma_prime}, "g": {fam.g}, '
                     f'"ell": {fam.ell}, "ell_prime": {fam.ell_prime}, '
@@ -359,6 +365,11 @@ def _cmd_scan(args) -> int:
                 if (m, n) != (0, 0)]
     pairs = disagree = 0
     NOT_ABELIAN = lattice.Verdict.NOT_ABELIAN
+    # each row is written as the text json.dumps gives for {"s1": [m, n],
+    # "s2", "e_p", "e_pstar", "c_over_N", "lambda_s1", "lambda_s2", "tag_s1",
+    # "tag_s2", "oracle_agree"}: same keys in the same order, ", " and ": "
+    # separators; every value is digits, "-" and "/", so nothing is escaped
+    texts = [f"[{s.m}, {s.n}]" for s in surfaces]
     with contextlib.ExitStack() as stack:
         # one write per outer surface, copied to --out as it goes
         sinks = [sys.stdout]
@@ -366,25 +377,27 @@ def _cmd_scan(args) -> int:
             sinks.append(stack.enter_context(open(args.out, "w")))
         for i, s1 in enumerate(surfaces):
             row = []
-            for s2 in surfaces[i + 1:]:
+            head = f'{{"s1": {texts[i]}, "s2": '
+            for j in range(i + 1, len(surfaces)):
+                s2 = surfaces[j]
                 core = lattice._sides_reduced(s1, s2)
                 if core is None:
                     continue
-                (a, d, b, dp), c, ((lam1, tag1, _), (lam2, tag2, _)) = core
+                (a, d, b, dp), (c, e), ((lam1, tag1, _), (lam2, tag2, _)) = core
                 # the exchange function cancels iff every exponent count is zero
                 o1, o2 = (not any(oracle._exchange_counts(s.m, s.n, a, d, b, dp)[0].values())
                           for s in (s1, s2))
                 agree = (tag1 is not NOT_ABELIAN) == o1 and (tag2 is not NOT_ABELIAN) == o2
                 disagree += not agree
-                row.append(emit({
-                    "s1": [s1.m, s1.n], "s2": [s2.m, s2.n],
-                    "e_p": _int_frac_str(-a, d), "e_pstar": _int_frac_str(-b, dp),
-                    "c_over_N": _int_frac_str(*c),
-                    "lambda_s1": lam1 and _int_frac_str(lam1[0], lam1[1]),
-                    "lambda_s2": lam2 and _int_frac_str(lam2[0], lam2[1]),
-                    "tag_s1": tag1.value, "tag_s2": tag2.value,
-                    "oracle_agree": agree,
-                }))
+                l1 = "null" if lam1 is None else f'"{_int_frac_str(*lam1)}"'
+                l2 = "null" if lam2 is None else f'"{_int_frac_str(*lam2)}"'
+                row.append(
+                    f'{head}{texts[j]}, "e_p": "{_int_frac_str(-a, d)}", '
+                    f'"e_pstar": "{_int_frac_str(-b, dp)}", '
+                    f'"c_over_N": "{_int_frac_str(c, e)}", '
+                    f'"lambda_s1": {l1}, "lambda_s2": {l2}, '
+                    f'"tag_s1": {_TAG_JSON[tag1]}, "tag_s2": {_TAG_JSON[tag2]}, '
+                    f'"oracle_agree": {"true" if agree else "false"}}}')
             if row:
                 pairs += len(row)
                 text = "\n".join(row) + "\n"
@@ -499,8 +512,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return 0
-    except (ValueError, lattice.NoIntersectionError,
+    except (ValueError, OSError, lattice.NoIntersectionError,
             lattice.DegenerateParametrizationError) as exc:
+        # OSError: an --out path that cannot be written (BrokenPipeError,
+        # also an OSError, is handled above)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except lattice.CrossCheckError as exc:

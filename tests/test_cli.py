@@ -462,6 +462,35 @@ class TestScan:
                     count += 1
         return count
 
+    @staticmethod
+    def _reference_text(box, oracle_abelian):
+        """`scan --box` output rebuilt one pair at a time from
+        `intersect_surfaces`, `lambda_of_intersection` and `classify_lambda`,
+        each row a dict written by `json.dumps`; oracle_abelian(s, lam) gives
+        each side's oracle verdict."""
+        surfs = [Surface(m, n) for m in range(-box, box + 1)
+                 for n in range(-box, box + 1) if (m, n) != (0, 0)]
+        rows = []
+        for i, s1 in enumerate(surfs):
+            for s2 in surfs[i + 1:]:
+                line = intersect_surfaces(s1, s2)
+                if line is None:
+                    continue
+                lams = [None if s.m == 0 or s.n == 0 else lambda_of_intersection(s, o)
+                        for s, o in ((s1, s2), (s2, s1))]
+                verdicts = [classify_lambda(s, lam) for s, lam in zip((s1, s2), lams)]
+                agree = all(v.is_abelian == oracle_abelian(s, lam)
+                            for s, lam, v in zip((s1, s2), lams, verdicts))
+                rows.append({
+                    "s1": [s1.m, s1.n], "s2": [s2.m, s2.n],
+                    "e_p": _frac_str(line.e_p), "e_pstar": _frac_str(line.e_pstar),
+                    "c_over_N": _frac_str(line.c_over_N),
+                    "lambda_s1": lams[0] and _frac_str(lams[0].lam),
+                    "lambda_s2": lams[1] and _frac_str(lams[1].lam),
+                    "tag_s1": verdicts[0].tag.value, "tag_s2": verdicts[1].tag.value,
+                    "oracle_agree": agree})
+        return "\n".join(json.dumps(row) for row in rows) + "\n"
+
     def test_count_matches_brute_force(self, capsys):
         rc, out = run(capsys, "scan", "--box", "3")
         assert rc == 0
@@ -484,6 +513,8 @@ class TestScan:
         bad = sum(not d["oracle_agree"] for d in docs)
         assert rc == 1
         assert bad > 0
+        # every side's oracle now says "does not cancel"
+        assert_same_text(captured.out, self._reference_text(2, lambda s, lam: False))
         assert captured.err.strip() == (f"scan: {len(docs)} intersecting pairs, "
                                         f"{bad} with oracle_agree false")
 
@@ -502,33 +533,12 @@ class TestScan:
         assert capsys.readouterr().err.startswith("verification mismatch: ")
 
     def test_rows_match_the_public_api(self, capsys):
-        """Every `scan --box=5` row, rebuilt one pair at a time from
-        `intersect_surfaces`, `lambda_of_intersection`, `classify_lambda` and
-        the oracle's `exchange_exponents` and `is_abelian`."""
+        """Every `scan --box=5` row, byte for byte, against the reference
+        whose oracle verdicts come from `exchange_exponents` and `is_abelian`."""
         rc, out = run(capsys, "scan", "--box=5")
         assert rc == 0
-        surfs = [Surface(m, n) for m in range(-5, 6) for n in range(-5, 6)
-                 if (m, n) != (0, 0)]
-        rows = []
-        for i, s1 in enumerate(surfs):
-            for s2 in surfs[i + 1:]:
-                line = intersect_surfaces(s1, s2)
-                if line is None:
-                    continue
-                lams = [None if s.m == 0 or s.n == 0 else lambda_of_intersection(s, o)
-                        for s, o in ((s1, s2), (s2, s1))]
-                verdicts = [classify_lambda(s, lam) for s, lam in zip((s1, s2), lams)]
-                agree = all(v.is_abelian == is_abelian(exchange_exponents(s, lam))
-                            for s, lam, v in zip((s1, s2), lams, verdicts))
-                rows.append({
-                    "s1": [s1.m, s1.n], "s2": [s2.m, s2.n],
-                    "e_p": _frac_str(line.e_p), "e_pstar": _frac_str(line.e_pstar),
-                    "c_over_N": _frac_str(line.c_over_N),
-                    "lambda_s1": lams[0] and _frac_str(lams[0].lam),
-                    "lambda_s2": lams[1] and _frac_str(lams[1].lam),
-                    "tag_s1": verdicts[0].tag.value, "tag_s2": verdicts[1].tag.value,
-                    "oracle_agree": agree})
-        assert [json.loads(line) for line in out.splitlines()] == rows
+        assert_same_text(out, self._reference_text(
+            5, lambda s, lam: is_abelian(exchange_exponents(s, lam))))
 
     def test_agreement_is_silent(self, capsys):
         rc = main(["scan", "--box", "2"])
@@ -602,6 +612,18 @@ class TestOutFile:
                       "--k-min=-6", "--k-max=6", "--out", str(path))
         assert rc == 0
         assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--surface=2,5", "--lambda=1/3"],
+        ["scan", "--box=1"],
+    ], ids=" ".join)
+    def test_unwritable_path_is_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.json"
+        assert main(argv + [f"--out={path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
 
 
 class TestCanonicalJson:
