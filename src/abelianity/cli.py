@@ -420,9 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "surfaces of deformed W-algebra structure functions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, numeric=False):
-        p.add_argument("--N", type=_parse_rank, default=3,
-                       help="algebra rank parameter (default 3)")
+    def add_common(p, numeric=False, rank=True):
+        if rank:
+            p.add_argument("--N", type=_parse_rank, default=3,
+                           help="algebra rank parameter (default 3)")
         p.add_argument("--out", default=None,
                        help="also write the output bytes to this path")
         if numeric:
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s2", type=_parse_surface, required=True)
     p.add_argument("--t-min", type=int, default=-5)
     p.add_argument("--t-max", type=int, default=5)
-    add_common(p)
+    add_common(p, rank=False)  # the surfaces through a line do not depend on N
     p.set_defaults(func=_cmd_surfaces_through)
 
     p = sub.add_parser("verify-y",
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep all surface pairs within a box")
     p.add_argument("--box", type=int, required=True)
-    add_common(p)
+    add_common(p, rank=False)  # no row of the sweep depends on N
     p.set_defaults(func=_cmd_scan)
 
     return parser

@@ -24,15 +24,16 @@ e^{2 pi i / N} and the constant is exactly 1.
   Y -> 1/Y, so Y is taken in sqrt(rho) <= |Y| <= 1.  ln|z| only turns the
   phase of Y and arg(z^2) only sets its modulus, so every z in float range
   is reduced exactly.
-* The shift z -> q^{N t} z is the rotation Y -> e^{-2 pi i t} Y.  An
-  exchange product over exponents t is a `ShiftPlan`: the distinct t mod 1
-  become rotations once, and each point costs one reduction plus one theta
-  ratio per distinct t.  The full-cycle identity prod_j U(q^j x) = 1 is the
+* The shift z -> q^{N t} z is the rotation Y -> e^{-2 pi i t} Y.  U and
+  every exchange product over exponents t are a `ShiftPlan`: the distinct
+  t mod 1 become rotations once, and each point costs one reduction per
+  point turn (one, unless a half-nome root turns z^2) plus one theta ratio
+  per distinct t.  The full-cycle identity prod_j U(q^j x) = 1 is the
   telescoping product over Y -> omega^-1 Y.
 * Poles sit at Y in rho^Z and zeros at omega^{+-1} Y in rho^Z, i.e. Y near
   1, omega^-1 or omega in the reduced annulus.  A pole at
-  z^2 = a^k (1 + delta) sits at |Y - 1| ~ 2 pi |delta| / T; PoleError is
-  raised for |delta| below POLE_DISTANCE.
+  z^2 = a^k (1 + delta) sits at |Y - 1| ~ 2 pi |delta| / T, a zero likewise;
+  PoleError is raised at both, for |delta| below POLE_DISTANCE.
 * rho is tiny exactly where a is close to 1, so the products, truncated at
   TRUNCATION, are short.  A value outside float range raises DomainError.
 """
@@ -173,20 +174,20 @@ class _DualNome:
         mod = math.exp(-self.scale * phi)
         return complex(mod * math.cos(psi), mod * math.sin(psi)), inverted
 
-    def adjacent(self, y: complex) -> bool:
-        """True when reduced y is within tolerance of a zero or pole of U."""
-        tol = self.pole_tol
-        return (abs(y - 1.0) < tol or abs(y - self.omega) < tol
-                or abs(y - self.omega_inv) < tol)
-
     def ratio(self, y: complex) -> complex:
         """theta_rho(omega y) theta_rho(y / omega) / theta_rho(y)^2 for
-        sqrt(rho) <= |y| <= 1, or DomainError outside float range; pairs are
-        grouped so that the value at conj(y) is the conjugate of that at y."""
+        sqrt(rho) <= |y| <= 1; pairs are grouped so that the value at
+        conj(y) is the conjugate of that at y.  The leading factors 1 - y,
+        1 - omega y and 1 - y/omega measure the distance to the only pole
+        and zeros in that annulus: PoleError within POLE_DISTANCE of one (in
+        z^2), DomainError when the value lies outside float range."""
         wy = self.omega * y
         vy = self.omega_inv * y
-        num = (1.0 - wy) * (1.0 - vy)
-        den = 1.0 - y
+        zero_w, zero_v, den = 1.0 - wy, 1.0 - vy, 1.0 - y
+        tol = self.pole_tol
+        if abs(den) < tol or abs(zero_w) < tol or abs(zero_v) < tol:
+            raise PoleError(f"U argument within {POLE_DISTANCE:g} of a zero or pole")
+        num = zero_w * zero_v
         if self.powers:
             iy = 1.0 / y
             iwy = self.omega_inv * iy
@@ -259,90 +260,85 @@ def _on_real_line(z: complex) -> bool:
 
 
 def u_zero_pole_adjacent(ctx: EllipticContext, a: float, z: complex) -> bool:
-    """True when U_a(z) has a zero or pole within tolerance of z.
+    """True when U_a(z) has a zero or pole within tolerance of z, that is
+    when `ufunc_a` raises PoleError there; DomainError where it raises that.
 
     Poles: z^2 or z^-2 on the lattice a^Z; zeros: q^2 z^{+-2} on it.
     """
-    dual = _DualNome.for_u(ctx, a)
-    y, _ = dual.reduce(*dual.angles(z))
-    return dual.adjacent(y)
-
-
-def _ufunc(dual: _DualNome, z: complex) -> complex:
-    y, _ = dual.reduce(*dual.angles(z))
-    if abs(y - 1.0) < dual.pole_tol:
-        raise PoleError(f"U_a pole within tolerance at z={z}")
-    val = dual.ratio(y)
-    if _on_real_line(z):
-        val = complex(val.real, 0.0)
-    return dual.scaled(val)
+    try:
+        ufunc_a(ctx, a, z)
+    except PoleError:
+        return True
+    return False
 
 
 def ufunc_a(ctx: EllipticContext, a: float, z: complex) -> complex:
     """U_a(z) with an arbitrary nome a in (0,1).
 
-    Raises PoleError within tolerance of a pole and DomainError when the
-    value lies outside float range.
+    Raises PoleError within tolerance of a zero or pole and DomainError
+    when the value lies outside float range.
     """
-    return _ufunc(_DualNome.for_u(ctx, a), z)
+    dual = _DualNome.for_u(ctx, a)
+    return dual.scaled(ShiftPlan(dual, 1, [0], [])(z))
 
 
 def ufunc(ctx: EllipticContext, z: complex) -> complex:
     """The structure-function block U(z), nome q^{2N}; raises like `ufunc_a`."""
-    return _ufunc(_DualNome.for_u(ctx), z)
+    return ShiftPlan(_DualNome.for_u(ctx), 1, [0], [])(z)
 
 
 class ShiftPlan:
-    """Exchange product prod_num U(q^{N t} x) / prod_den U(q^{N t} x).
+    """Exchange product prod_num U(q^{N t} x) / prod_den U(q^{N t} x) in
+    the dual nome `dual`; a one-factor plan is U itself.
 
     Built once per command from integer exponents: each t is k/L for one
     modulus L, and the lists keep every raw factor in product order,
     cancelling ones included.  The distinct residues k mod L become slots,
-    numbered in order of first appearance, each with the rotation
-    e^{-2 pi i t} of the dual coordinate, so building and evaluating do no
-    rational arithmetic.  Every slot is tested for an adjacent zero or
-    pole, and factors are applied in list order.  A value outside float
-    range raises DomainError.
+    each with the rotation e^{-2 pi i t} of the dual coordinate, so building
+    and evaluating do no rational arithmetic.  Each slot raises PoleError
+    near a zero or a pole, and factors are applied in list order.  A value
+    outside float range raises DomainError.
 
-    `phase` c makes the argument of factor t carry the extra factor
-    e^{pi i c t} (a multiplier e^{2 pi i c t} on z^2): the non-principal
-    roots of a whole-surface half-nome.  It moves the modulus of Y, which
-    is then reduced again by Y -> rho Y.
+    `phase` c gives the argument of factor t the extra factor e^{pi i c t}
+    (the non-principal roots of a whole-surface half-nome): a point turn of
+    z^2 by 2 pi (c k mod L)/L, which moves the modulus of Y.  Slots are
+    grouped by point turn, each group's point is reduced once and its slots
+    follow by rotation.  A principal plan (c = 0) is one group, its slots
+    in order of first appearance.
     """
 
-    def __init__(self, ctx: EllipticContext, modulus: int, numerator,
+    def __init__(self, dual: _DualNome, modulus: int, numerator,
                  denominator, *, phase: int = 0) -> None:
-        self._dual = _DualNome.for_u(ctx)
-        slots: dict[int, int] = {}
-        self._num = [slots.setdefault(k % modulus, len(slots)) for k in numerator]
-        self._den = [slots.setdefault(k % modulus, len(slots)) for k in denominator]
-        self._rot = [cmath.exp(-2j * math.pi * (k / modulus)) for k in slots]
-        self._rot_inv = [r.conjugate() for r in self._rot]
-        self._shifts = None
-        if phase:
-            self._shifts = [(2.0 * math.pi * (phase * k % modulus / modulus),
-                             -2.0 * math.pi * (k / modulus)) for k in slots]
+        self._dual = dual
+        groups: dict[int, dict[int, None]] = {}
+        for k in (*numerator, *denominator):
+            k %= modulus
+            groups.setdefault(phase * k % modulus, {})[k] = None
+        slots = {k: i for i, k in enumerate(k for g in groups.values() for k in g)}
+        self._num = [slots[k % modulus] for k in numerator]
+        self._den = [slots[k % modulus] for k in denominator]
+        self._turns = []
+        for turn, ks in groups.items():
+            rot = [cmath.exp(-2j * math.pi * (k / modulus)) for k in ks]
+            self._turns.append((2.0 * math.pi * (turn / modulus), rot,
+                                [r.conjugate() for r in rot]))
 
     def __call__(self, x: complex) -> complex:
         dual = self._dual
         phi, psi = dual.angles(x)
-        if self._shifts is None:
-            y0, inverted = dual.reduce(phi, psi)
-            ys = [y0 * r for r in (self._rot_inv if inverted else self._rot)]
-        else:
-            ys = []
-            for dphi, dpsi in self._shifts:
-                p = phi + dphi
+        vals = []
+        try:
+            for turn, rot, rot_inv in self._turns:
+                p = phi + turn
                 if p > math.pi:
                     p -= 2.0 * math.pi
-                ys.append(dual.reduce(p, psi + dpsi)[0])
-        real = self._shifts is None and _on_real_line(x)
-        vals = []
-        for y in ys:
-            if dual.adjacent(y):
-                raise PoleError(f"exchange factor argument near zero/pole at x={x}")
-            v = dual.ratio(y)
-            vals.append(complex(v.real, 0.0) if real else v)
+                y, inverted = dual.reduce(p, psi)
+                exact_real = not turn and _on_real_line(x)  # z^2 real: U real
+                for r in (rot_inv if inverted else rot):
+                    v = dual.ratio(y * r)
+                    vals.append(complex(v.real, 0.0) if exact_real else v)
+        except PoleError:
+            raise PoleError(f"factor argument near a zero or pole at x={x}") from None
         val = 1.0 + 0.0j
         for i in self._num:
             val *= vals[i]
@@ -371,7 +367,7 @@ def exchange_plan(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,
     """
     modulus, num, den = _exchange_residues(s, lam)
     if not s.is_whole_surface_abelian() or half_nome is None:
-        return ShiftPlan(ctx, modulus, num, den)
+        return ShiftPlan(_DualNome.for_u(ctx), modulus, num, den)
     n = s.n if s.m == 0 else s.m
     # s^n = q^-N in log form, n ln s + N ln q in 2 pi i Z: q^-N overflows
     # for small q, and a tolerance on s^n would scale with it
@@ -382,7 +378,8 @@ def exchange_plan(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,
     k = abs(n)
     j = round(cmath.phase(half_nome) * k / (2 * math.pi)) % k
     # s^l = q^{N t} e^{2 pi i j l/|n|} with t = -l/n: z^2 turns by -2 j sgn(n) t
-    return ShiftPlan(ctx, modulus, num, den, phase=-2 * j * (1 if n > 0 else -1))
+    return ShiftPlan(_DualNome.for_u(ctx), modulus, num, den,
+                     phase=-2 * j * (1 if n > 0 else -1))
 
 
 def yfunc(ctx: EllipticContext, s: Surface, lam: LambdaPair | None, x: complex,
@@ -405,7 +402,7 @@ def centrality_plan(ctx: EllipticContext, m: int, lam: int) -> ShiftPlan:
     """
     if m <= 0:
         raise DomainError("m must be positive (reduce m<0 to |m| first)")
-    return ShiftPlan(ctx, m, [(lam - 1) * k for k in range(1, m + 1)],
+    return ShiftPlan(_DualNome.for_u(ctx), m, [(lam - 1) * k for k in range(1, m + 1)],
                      [lam * k for k in range(1, m + 1)])
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -306,6 +307,61 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["max_abs_y_minus_1"] > 1e-4
         assert doc["numeric_consistent"]
+
+
+def verify_commands(count=200, seed=16):
+    """A fixed, seeded list of `verify-y` and `verify-super` commands: lines
+    through box intersections and random lambdas, whole surfaces, N = 2..5,
+    q from 1e-4 to 0.99 and a few custom grids."""
+    rng = random.Random(seed)
+    qs = ["1e-4", "0.01", "0.3", "0.55", "0.6", "0.8", "0.95", "0.99"]
+    grids = [None, None, None, "0.5,2,7", "0.9,1.1,12", "0.3,3.5,5"]
+    cmds = []
+    for i in range(count):
+        tail = [f"--N={rng.randint(2, 5)}", f"--q={rng.choice(qs)}"]
+        grid = rng.choice(grids)
+        if grid:
+            tail.append(f"--grid={grid}")
+        if i % 4 == 3:
+            cmds.append(["verify-super", f"--m={rng.randint(-40, 40) or 1}",
+                         f"--lambda={rng.randint(-20, 20)}", *tail])
+            continue
+        kind = rng.random()
+        if kind < 0.2:
+            k = rng.choice([v for v in range(-12, 13) if v])
+            cmds.append(["verify-y", f"--surface=0,{k}" if rng.random() < 0.5
+                         else f"--surface={k},0", *tail])
+            continue
+        m, n = rng.randint(-12, 12) or 1, rng.randint(-12, 12) or -1
+        s = Surface(m, n)
+        lam = F(rng.randint(-30, 30), rng.randint(1, 12))
+        if kind < 0.7:
+            other = Surface(rng.randint(-6, 6) or 2, rng.randint(-6, 6) or 3)
+            if intersect_surfaces(s, other) is not None:
+                lam = lambda_of_intersection(s, other).lam
+        cmds.append(["verify-y", f"--surface={m},{n}", f"--lambda={_frac_str(lam)}",
+                     *tail])
+    return cmds
+
+
+# sha256 over every command of `verify_commands()`: its argv, exit code,
+# stdout and stderr, recorded before `ufunc`, `ufunc_a` and the shift plans
+# were folded into one U evaluator; the outputs must stay byte-identical
+VERIFY_COMMANDS_SHA256 = "0c6958d69d5672a7d6d5e68cfe6f35c3237f405a6357b7970dc924fb98c91eca"
+
+
+def test_verify_commands_bytes_unchanged(capsys):
+    cmds = verify_commands()
+    assert len(cmds) == 200
+    assert any("--N=2" in c for c in cmds)
+    # whole surfaces: verify-y without --lambda
+    assert any(c[0] == "verify-y" and not c[2].startswith("--lambda") for c in cmds)
+    digest = hashlib.sha256()
+    for argv in cmds:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{' '.join(argv)}\n{rc}\n{captured.out}{captured.err}".encode())
+    assert digest.hexdigest() == VERIFY_COMMANDS_SHA256
 
 
 class TestPoissonCommand:
@@ -727,8 +783,6 @@ class TestUsageErrors:
         ["classify", "--surface", "1,2", "--lambda", "1/3"],
         ["intersect", "--s1", "3,6", "--s2", "2,5"],
         ["enumerate-lines", "--surface", "2,2"],
-        ["surfaces-through", "--s1", "3,6", "--s2", "2,5"],
-        ["scan", "--box=1"],
         ["verify-y", "--surface", "1,2", "--lambda", "1/3"],
         ["verify-super", "--m", "3", "--lambda", "2"],
         ["poisson", "--surface", "1,2", "--lambda", "1/3"],
@@ -739,6 +793,18 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --N: N must be >= 2, got {N}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["surfaces-through", "--s1", "3,6", "--s2", "2,5"],
+        ["scan", "--box=1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("N", ["-4", "1", "9"])
+    def test_rank_is_not_an_option(self, capsys, argv, N):
+        # neither output depends on N, so --N is a usage error, not ignored
+        assert main(argv + [f"--N={N}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --N={N}" in captured.err
 
     def test_rank_two_accepted(self, capsys):
         rc, out = run(capsys, "classify", "--surface", "1,2", "--lambda", "1/3",

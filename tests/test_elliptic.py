@@ -8,6 +8,7 @@ and product cancellations at 1e-9.
 import cmath
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from abelianity import (
     LambdaPair,
     PoleError,
     Surface,
+    centrality_plan,
     centrality_ratio,
     exchange_plan,
     theta,
@@ -28,7 +30,8 @@ from abelianity import (
     verification_grid,
     yfunc,
 )
-from abelianity.elliptic import u_zero_pole_adjacent
+from abelianity.elliptic import ShiftPlan, _DualNome, u_zero_pole_adjacent
+from abelianity.oracle import _exchange_residues
 
 CTX = EllipticContext(N=3, q=0.6)
 
@@ -184,6 +187,19 @@ class TestU:
         with pytest.raises(PoleError):
             ufunc(CTX, math.sqrt(CTX.q ** (2 * CTX.N)))
 
+    def test_zero_detection(self):
+        # zeros at q^2 z^{+-2} on the nome lattice (CTX: N = 3, q = 0.6): U
+        # raises there, as every exchange factor does, instead of returning a
+        # value near 0, and names the point
+        for z in (1 / 0.6, 0.6, -1 / 0.6):
+            with pytest.raises(PoleError, match=re.escape(f"at x={z}") + "$"):
+                ufunc(CTX, z)
+
+    def test_plan_pole_message_names_x(self):
+        # the k = 3 factor of the m = 3 ratio is U(x) itself, a pole at x = 1
+        with pytest.raises(PoleError, match=r"at x=1\.0$"):
+            centrality_plan(CTX, 3, 2)(1.0)
+
     def test_full_cycle_product_is_one(self):
         """prod_{j=0}^{N-1} U(q^j x) is identically 1: the combined theta
         nome equals the internal q^2 shift and all constants cancel."""
@@ -255,6 +271,34 @@ class TestUDualNome:
         for z in (0, float("inf"), complex(float("nan"), 1.0)):
             with pytest.raises(DomainError):
                 ufunc(CTX, z)
+            with pytest.raises(DomainError):
+                u_zero_pole_adjacent(CTX, 0.3, z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.floats(0.1, 0.95), N=st.integers(2, 5),
+           a=st.one_of(st.none(), st.floats(0.05, 0.95)), k=st.integers(-3, 3),
+           site=st.sampled_from([0, -2, 2]), near=st.booleans(),
+           arg=st.floats(-math.pi, math.pi), sign=st.sampled_from([1, -1]))
+    def test_adjacent_exactly_where_ufunc_a_raises(self, q, N, a, k, site, near,
+                                                   arg, sign):
+        """Points z^2 = q^site a^k (1 + delta) through a pole (site 0) or a
+        zero (site -2 or 2): within 1e-12 of it U_a raises PoleError, 1e-6
+        away it does not, and u_zero_pole_adjacent says which."""
+        ctx = EllipticContext(N=N, q=q)
+        nome = q ** (2 * N) if a is None else a
+        w = q ** site * nome ** k
+        z = sign * cmath.sqrt(w * (1 + (1e-12 if near else 1e-6) * cmath.exp(1j * arg)))
+        evaluations = [lambda: ufunc_a(ctx, nome, z)]
+        if a is None:
+            evaluations.append(lambda: ufunc(ctx, z))
+        for evaluate in evaluations:
+            try:
+                evaluate()
+                raised = False
+            except PoleError:
+                raised = True
+            assert raised is near
+        assert u_zero_pole_adjacent(ctx, nome, z) is near
 
     @settings(max_examples=300, deadline=None)
     @given(log10_r=st.floats(-300, 300), phi=st.one_of(
@@ -368,6 +412,19 @@ class TestY:
                 direct = 1 / direct  # the exponent lists of S_{m,0} are inverted
             got = exchange_plan(CTX, s, None, half_nome=root)(x)
             assert abs(got - direct) <= 1e-12 * abs(direct)
+
+    @pytest.mark.parametrize("n", [3, -4, 5])
+    def test_half_nome_turns_each_factor(self, n):
+        """Each half of a whole-surface plan on its own, against its defining
+        product over s^l x at every root s: the halves are not 1, so a wrong
+        point turn cannot cancel out."""
+        modulus, fwd, back = _exchange_residues(Surface(0, n), None)
+        dual, nome, x = _DualNome.for_u(CTX), CTX.q ** (2 * CTX.N), 0.9 + 0.35j
+        for j, root in enumerate(admissible_half_nome_roots(CTX, n)):
+            for ks, ells in ((fwd, range(abs(n))), (back, range(-1, -abs(n) - 1, -1))):
+                got = ShiftPlan(dual, modulus, ks, [], phase=-2 * j * (1 if n > 0 else -1))(x)
+                direct = math.prod(u_reference(CTX, nome, root ** ell * x) for ell in ells)
+                assert abs(got - direct) <= 1e-12 * abs(direct)
 
     def test_plan_matches_direct_product(self):
         s = Surface(2, 5)

@@ -320,30 +320,28 @@ class TestCycleCollapse:
 
 def _bits(values):
     """Exact bit patterns of floats and complexes, so -0.0 != 0.0."""
-    out = []
-    for v in values:
-        if isinstance(v, complex):
-            out.append((v.real.hex(), v.imag.hex()))
-        elif isinstance(v, tuple):
-            out.append(tuple(x.hex() for x in v))
-        else:
-            out.append(v.hex())
-    return out
+    return [(v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex()
+            for v in values]
 
 
 def _reference_plan(numerator, denominator, phase=0):
-    """(num slots, den slots, rotations, phase shifts) of a shift plan built
-    from Fraction exponents: slots are the distinct t mod 1 in order of
-    first appearance (reference for the residue-built `ShiftPlan`)."""
-    slots = {}
-    num = [slots.setdefault(t % 1, len(slots)) for t in numerator]
-    den = [slots.setdefault(t % 1, len(slots)) for t in denominator]
-    rot = [cmath.exp(-2j * math.pi * float(t)) for t in slots]
-    shifts = None
-    if phase:
-        shifts = [(2.0 * math.pi * float(phase * t % 1), -2.0 * math.pi * t)
-                  for t in slots]
-    return num, den, rot, shifts
+    """(num slots, den slots, turns) of a shift plan built from Fraction
+    exponents (reference for the residue-built `ShiftPlan`): the distinct
+    t mod 1 in order of first appearance, grouped in order of first
+    appearance by their point turn 2 pi (phase t mod 1), and numbered group
+    after group.  Each turn is (its angle, the rotations e^{-2 pi i t} of
+    its slots, their conjugates)."""
+    groups = {}
+    for t in dict.fromkeys(t % 1 for t in (*numerator, *denominator)):
+        groups.setdefault(phase * t % 1, []).append(t)
+    order = [t for ts in groups.values() for t in ts]
+    num = [order.index(t % 1) for t in numerator]
+    den = [order.index(t % 1) for t in denominator]
+    turns = []
+    for turn, ts in groups.items():
+        rot = [cmath.exp(-2j * math.pi * float(t)) for t in ts]
+        turns.append((2.0 * math.pi * float(turn), rot, [r.conjugate() for r in rot]))
+    return num, den, turns
 
 
 def _whole_surface_phase(k, root):
@@ -353,19 +351,21 @@ def _whole_surface_phase(k, root):
 
 
 def _assert_plan_matches(plan, numerator, denominator, phase=0):
-    num, den, rot, shifts = _reference_plan(numerator, denominator, phase)
+    num, den, turns = _reference_plan(numerator, denominator, phase)
     assert plan._num == num and plan._den == den
-    assert _bits(plan._rot) == _bits(rot)
-    assert _bits(plan._rot_inv) == _bits([r.conjugate() for r in rot])
-    if shifts is None:
-        assert plan._shifts is None
-    else:
-        assert _bits(plan._shifts) == _bits(shifts)
+    assert [(a.hex(), _bits(r), _bits(ri)) for a, r, ri in plan._turns] == \
+        [(a.hex(), _bits(r), _bits(ri)) for a, r, ri in turns]
+    if not phase:
+        # principal: one turn of 0, slots numbered in order of first appearance
+        first = list(dict.fromkeys(t % 1 for t in (*numerator, *denominator)))
+        assert len(turns) == 1 and turns[0][0] == 0.0
+        assert num == [first.index(t % 1) for t in numerator]
+        assert den == [first.index(t % 1) for t in denominator]
 
 
 class TestResiduePlan:
     """Shift plans built from integer residues against the Fraction lists:
-    the same slots in the same order and bit-identical rotations."""
+    the same slots in the same order and bit-identical turns and rotations."""
 
     @given(st.integers(-12, 12), st.integers(-12, 12),
            st.integers(-60, 60), st.integers(1, 30))
