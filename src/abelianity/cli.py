@@ -2,8 +2,8 @@
 
 Machine-readable output: JSON documents (one object, or one object per line
 for `scan`) and CSV for `poisson`.  Every JSON document is in `json.dumps`'
-default form (", " and ": " separators); `enumerate-lines` and `scan`
-write theirs directly in that form instead of building dicts for them.
+default form (", " and ": " separators); `scan`, `enumerate-lines` and
+`surfaces-through` write theirs directly in it, building no dicts for them.
 Rationals are always serialized exactly as "a/b" strings, never as
 floats.  Exit codes: 0 success, 1 verification mismatch (exact verdict
 and numeric witness disagree, or no grid point could be evaluated), 2
@@ -34,12 +34,8 @@ SOUND_TOL = 1e-9
 COMPLETE_TOL = 1e-4
 
 
-# each verdict tag as the JSON text json.dumps gives for it
-_TAG_JSON = {v: json.dumps(v.value) for v in lattice.Verdict}
-
-
-def _frac_str(v: Fraction) -> str:
-    return _int_frac_str(v.numerator, v.denominator)
+# each verdict tag's JSON text, keyed on `_value_` (Enum.__hash__ runs in Python)
+_TAG_JSON = {v._value_: json.dumps(v.value) for v in lattice.Verdict}
 
 
 def _int_frac_str(num: int, den: int) -> str:
@@ -111,7 +107,7 @@ def _surface_dict(s: Surface) -> dict:
 def _lambda_dict(lam: LambdaPair | None) -> dict | None:
     if lam is None:
         return None
-    return {"lambda": _frac_str(lam.lam), "lambda_star": _frac_str(lam.lam_star)}
+    return {"lambda": str(lam.lam), "lambda_star": str(lam.lam_star)}
 
 
 def _verdict_dict(v: lattice.AbelianityVerdict) -> dict:
@@ -123,9 +119,9 @@ def _verdict_dict(v: lattice.AbelianityVerdict) -> dict:
 def _line_dict(line: lattice.LineParams | None) -> dict | None:
     if line is None:
         return None
-    return {"e_p": _frac_str(line.e_p),
-            "e_pstar": _frac_str(line.e_pstar),
-            "c_over_N": _frac_str(line.c_over_N),
+    return {"e_p": str(line.e_p),
+            "e_pstar": str(line.e_pstar),
+            "c_over_N": str(line.c_over_N),
             "algebra_valid": line.algebra_valid}
 
 
@@ -134,9 +130,7 @@ def emit(report, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(report)
     header, rows = report
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines)
+    return "\n".join(",".join(row) for row in (header, *rows))
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -158,10 +152,8 @@ def _cmd_intersect(args) -> int:
               "verdict_s1": None, "verdict_s2": None}
     if line is not None:
         (lam1, v1), (lam2, v2) = lattice.intersection_sides(s1, s2, args.N)
-        report["lambda_s1"] = _lambda_dict(lam1)
-        report["lambda_s2"] = _lambda_dict(lam2)
-        report["verdict_s1"] = _verdict_dict(v1)
-        report["verdict_s2"] = _verdict_dict(v2)
+        report.update(lambda_s1=_lambda_dict(lam1), lambda_s2=_lambda_dict(lam2),
+                      verdict_s1=_verdict_dict(v1), verdict_s2=_verdict_dict(v2))
     _write_output(emit(report), args.out)
     return 0
 
@@ -212,8 +204,8 @@ def _cmd_enumerate_lines(args) -> int:
             # lambda = num/den and lambda* = (den - num)/den are both in
             # lowest terms, so they share the "/den" (none when den == 1)
             over = "" if den == 1 else f"/{den}"
-            members.append(f'{{"k": {k}, "lambda": "{num}{over}", '
-                           f'"lambda_star": "{den - num}{over}", "tag": {_TAG_JSON[tag]}}}')
+            members.append(f'{{"k": {k}, "lambda": "{num}{over}", "lambda_star": '
+                           f'"{den - num}{over}", "tag": {_TAG_JSON[tag._value_]}}}')
         fams.append(f'{{"d": {fam.d}, "gamma": {fam.gamma}, '
                     f'"gamma_prime": {fam.gamma_prime}, "g": {fam.g}, '
                     f'"ell": {fam.ell}, "ell_prime": {fam.ell_prime}, '
@@ -229,12 +221,12 @@ def _cmd_surfaces_through(args) -> int:
     if args.t_min > args.t_max:
         raise ValueError(f"--t-min {args.t_min} exceeds --t-max {args.t_max}")
     # NoIntersectionError (exit 2) when the surfaces do not meet
-    surfs = lattice.surfaces_through_line(s1, s2, range(args.t_min, args.t_max + 1))
-    line = lattice.intersect_surfaces(s1, s2)
-    report = {"s1": _surface_dict(s1), "s2": _surface_dict(s2),
-              "line": _line_dict(line),
-              "surfaces": [_surface_dict(w) for w in surfs]}
-    _write_output(emit(report), args.out)
+    line, walked = lattice._surfaces_through(s1, s2, range(args.t_min, args.t_max + 1))
+    # written as the text json.dumps gives for {"s1": {"m", "n"}, "s2", "line",
+    # "surfaces": [{"m", "n"}, ...]}, as in `enumerate-lines`
+    surfaces = ", ".join([f'{{"m": {m}, "n": {n}}}' for m, n in walked])
+    _write_output(f'{{"s1": {emit(_surface_dict(s1))}, "s2": {emit(_surface_dict(s2))}, '
+                  f'"line": {emit(_line_dict(line))}, "surfaces": [{surfaces}]}}', args.out)
     return 0
 
 
@@ -396,7 +388,8 @@ def _cmd_scan(args) -> int:
                     f'"e_pstar": "{_int_frac_str(-b, dp)}", '
                     f'"c_over_N": "{_int_frac_str(c, e)}", '
                     f'"lambda_s1": {l1}, "lambda_s2": {l2}, '
-                    f'"tag_s1": {_TAG_JSON[tag1]}, "tag_s2": {_TAG_JSON[tag2]}, '
+                    f'"tag_s1": {_TAG_JSON[tag1._value_]}, '
+                    f'"tag_s2": {_TAG_JSON[tag2._value_]}, '
                     f'"oracle_agree": {"true" if agree else "false"}}}')
             if row:
                 pairs += len(row)

@@ -253,12 +253,6 @@ class _DualNome:
             raise DomainError("U_a value lies outside float range") from exc
 
 
-def _on_real_line(z: complex) -> bool:
-    """z^2 is real, so U(z) is real."""
-    z = complex(z)
-    return z.real == 0.0 or z.imag == 0.0
-
-
 def u_zero_pole_adjacent(ctx: EllipticContext, a: float, z: complex) -> bool:
     """True when U_a(z) has a zero or pole within tolerance of z, that is
     when `ufunc_a` raises PoleError there; DomainError where it raises that.
@@ -333,7 +327,7 @@ class ShiftPlan:
                 if p > math.pi:
                     p -= 2.0 * math.pi
                 y, inverted = dual.reduce(p, psi)
-                exact_real = not turn and _on_real_line(x)  # z^2 real: U real
+                exact_real = not turn and (x.real == 0.0 or x.imag == 0.0)  # z^2 real: U real
                 for r in (rot_inv if inverted else rot):
                     v = dual.ratio(y * r)
                     vals.append(complex(v.real, 0.0) if exact_real else v)

@@ -141,6 +141,12 @@ class Verdict(Enum):
     EXTENDED_CENTER = "ExtendedCenter"
 
 
+# results of `_classify_reduced`, bound once: each `Verdict.X` read goes
+# through the Enum metaclass, and the core runs per family member
+_NOT_ABELIAN, _INTEGER_LAMBDA = (Verdict.NOT_ABELIAN, None), (Verdict.INTEGER_LAMBDA, None)
+_CONDITION2 = Verdict.CONDITION2
+
+
 @dataclass(frozen=True)
 class Witnesses:
     """Integer witnesses (d, gamma, gamma', g) of a condition-2 verdict."""
@@ -191,9 +197,9 @@ class LambdaFamily:
     the common denominator d g as one integer numerator
     (gamma'*ell*d + gamma) g + k n d and classified on integers.  Construction
     checks each witness by its defining equation (0 <= ell' < |m/g| for the
-    Bezout pair), then members k = -2..2 (kept in `checked`): the condition-2
-    predicate must give d and the verdict core (Condition2, (d, gamma,
-    gamma', g)), or (IntegerLambda, None) when integer-degenerate.
+    Bezout pair), then members k = -2..2 (kept in `checked`) in one pass: the
+    verdict core must give (Condition2, (d, gamma, gamma', g)), or, when
+    integer-degenerate, (IntegerLambda, None) and condition 2 must give d.
     """
 
     surface: Surface
@@ -208,45 +214,51 @@ class LambdaFamily:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m, n = self.surface.m, self.surface.n
-        if self.g != math.gcd(m, n) or not 0 < self.gamma < self.d \
-                or math.gcd(self.gamma, self.d) != 1 or (m + n) % self.d \
-                or self.gamma_prime * self.g + self.gamma * ((m + n) // self.d) != 1 \
-                or self.ell * (m // self.g) + self.ell_prime * (n // self.g) != 1 \
-                or not 0 <= self.ell_prime < abs(m // self.g):
+        s, d, g = self.surface, self.d, self.g
+        m, n, degenerate = s.m, s.n, self.integer_degenerate
+        if g != math.gcd(m, n) or not 0 < self.gamma < d \
+                or math.gcd(self.gamma, d) != 1 or (m + n) % d \
+                or self.gamma_prime * g + self.gamma * ((m + n) // d) != 1 \
+                or self.ell * (m // g) + self.ell_prime * (n // g) != 1 \
+                or not 0 <= self.ell_prime < abs(m // g):
             raise CrossCheckError(f"family {self}: a witness fails its defining equation")
-        expected = (Verdict.INTEGER_LAMBDA, None) if self.integer_degenerate \
-            else (Verdict.CONDITION2, (self.d, self.gamma, self.gamma_prime, self.g))
+        expected = _INTEGER_LAMBDA if degenerate \
+            else (_CONDITION2, (d, self.gamma, self.gamma_prime, g))
         checked = []
-        for k in range(-2, 3):
-            num, den, reduced = self._integers(k)
-            if _condition2_reduced(m, n, *reduced) != self.d:
+        for k, (num, den, reduced) in enumerate(self._integers(range(-2, 3)), -2):
+            # a Condition2 verdict with witness d means condition 2 gave d;
+            # the integer-degenerate verdict stops before condition 2
+            if degenerate and _condition2_reduced(m, n, *reduced) != d:
                 raise CrossCheckError(f"family {self} member k={k} fails condition 2")
-            verdict = _classify_reduced(self.surface, reduced)
+            verdict = _classify_reduced(s, reduced)
             if verdict != expected:
                 raise CrossCheckError(
                     f"family {self} member k={k}: verdict {verdict} != {expected}")
             checked.append((num, den, verdict[0]))
         object.__setattr__(self, "checked", tuple(checked))
 
-    def _integers(self, k: int) -> tuple[int, int, tuple[int, int, int, int]]:
-        """Member k as lambda = num/den and (a, d, b, d') with lambda/m = a/d
-        and lambda*/n = b/d', all in lowest terms with positive denominators;
-        gcd(m a, d) = gcd(m, d) and gcd(den - num, den n) = gcd(den - num, n)."""
-        m, n, dg = self.surface.m, self.surface.n, self.d * self.g
-        over_m = (self.gamma_prime * self.ell * self.d + self.gamma) * self.g \
-            + k * n * self.d
-        a, d = over_m // (r := math.gcd(over_m, dg)), dg // r
-        num, den = m * a // (r := math.gcd(m, d)), d // r
-        r = math.gcd(den - num, n) if n > 0 else -math.gcd(den - num, n)
-        return num, den, (a, d, (den - num) // r, den * n // r)
+    def _integers(self, ks: Iterable[int]) -> list[tuple[int, int, tuple]]:
+        """Members k in ks as (num, den, (a, d, b, d')): lambda = num/den, lambda/m
+        = a/d, lambda*/n = b/d', lowest terms, positive denominators; gcd(m a, d) =
+        gcd(m, d), gcd(den - num, den n) = gcd(den - num, n).  d g, the step n d
+        and the k = 0 numerator are formed once per call."""
+        m, n, d0, g = self.surface.m, self.surface.n, self.d, self.g
+        dg, step, base = d0 * g, n * d0, (self.gamma_prime * self.ell * d0 + self.gamma) * g
+        out = []
+        for k in ks:
+            over_m = base + k * step
+            a, d = over_m // (r := math.gcd(over_m, dg)), dg // r
+            num, den = m * a // (r := math.gcd(m, d)), d // r
+            r = math.gcd(den - num, n) if n > 0 else -math.gcd(den - num, n)
+            out.append((num, den, (a, d, (den - num) // r, den * n // r)))
+        return out
 
     def member(self, k: int) -> tuple[int, int, Verdict]:
         """(numerator, denominator, tag) of member k, lambda in lowest terms;
         k = -2..2 are read from `checked`, so each is classified once."""
         if -2 <= k <= 2:
             return self.checked[k + 2]
-        num, den, reduced = self._integers(k)
+        (num, den, reduced), = self._integers((k,))
         return num, den, _classify_reduced(self.surface, reduced)[0]
 
 
@@ -293,24 +305,35 @@ def lambda_of_intersection(s1: Surface, s2: Surface) -> LambdaPair:
     return LambdaPair(lam, lam_star)  # checks lam + lam* = 1
 
 
-def _walk_line(line: LineParams, s1: Surface, s2: Surface,
-               step: tuple[int, int], t_values: Iterable[int]) -> list[Surface]:
-    """The surfaces w = s2 + t*step for t in t_values, each re-verified to
-    carry `line` as `intersect_surfaces(o, w) == line` (o = s1, or s2 when w
-    is s1) on integers: w meets o and x * den == num * det per exponent."""
+def _walk_line(line: LineParams, s1: Surface, s2: Surface, step: tuple[int, int],
+               t_values: Iterable[int]) -> list[tuple[int, int]]:
+    """The surfaces w = s2 + t*step for t in t_values as (m, n), each checked to
+    carry `line` as `intersect_surfaces(o, w) == line` (o = s1, or s2 when w is
+    s1) on integers: w meets o and x * den == num * det per exponent."""
     dm, dn = step
     (pp, qp), (ps, qs), (pc, qc) = ((e.numerator, e.denominator) for e in
                                     (line.e_p, line.e_pstar, line.c_over_N))
-    out: list[Surface] = []
+    out: list[tuple[int, int]] = []
     for t in t_values:
-        w = Surface(s2.m + t * dm, s2.n + t * dn)
-        o = s2 if w == s1 else s1
-        det = _meet_det(o, w)
-        if det == 0 or (w.n - o.n) * qp != pp * det or (o.m - w.m) * qs != ps * det \
-                or (w.m + w.n - o.m - o.n) * qc != pc * det:
-            raise CrossCheckError(f"{w} fails to reproduce the line through {s1}")
-        out.append(w)
+        wm, wn = s2.m + t * dm, s2.n + t * dn
+        om, on = (s2.m, s2.n) if wm == s1.m and wn == s1.n else (s1.m, s1.n)
+        det = wm * on - om * wn  # `_meet_det(o, w)` when m and n both differ
+        if wm == om or wn == on or det == 0 or (wn - on) * qp != pp * det \
+                or (om - wm) * qs != ps * det or (wm + wn - om - on) * qc != pc * det:
+            raise CrossCheckError(f"S_{{{wm},{wn}}} fails to reproduce the line through {s1}")
+        out.append((wm, wn))
     return out
+
+
+def _surfaces_through(s1: Surface, s2: Surface, t_range: Iterable[int]
+                      ) -> tuple[LineParams, list[tuple[int, int]]]:
+    """The line s1 cap s2 and `surfaces_through_line` as (m, n) pairs."""
+    line = intersect_surfaces(s1, s2)
+    if line is None:
+        raise NoIntersectionError(f"{s1} and {s2} do not intersect")
+    dm, dn = s1.m - s2.m, s1.n - s2.n
+    g0 = math.gcd(dm, dn)
+    return line, _walk_line(line, s1, s2, (dm // g0, dn // g0), t_range)
 
 
 def surfaces_through_line(s1: Surface, s2: Surface,
@@ -322,29 +345,17 @@ def surfaces_through_line(s1: Surface, s2: Surface,
     of the original pair.  (The lattice line never passes through (0,0) for
     a valid intersection, since (m,n) and (m',n') are linearly independent.)
     """
-    line = intersect_surfaces(s1, s2)
-    if line is None:
-        raise NoIntersectionError(f"{s1} and {s2} do not intersect")
-    dm, dn = s1.m - s2.m, s1.n - s2.n
-    g0 = math.gcd(dm, dn)
-    return _walk_line(line, s1, s2, (dm // g0, dn // g0), t_range)
+    return [Surface(m, n) for m, n in _surfaces_through(s1, s2, t_range)[1]]
 
 
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
-def _condition2_d(s: Surface, lam: LambdaPair) -> int | None:
-    """Witness d for the cross-cancellation condition, or None.
-
-    Requires lambda/m - lambda*/n in Z, equal reduced denominators d, and
-    d | (m + n).  Only meaningful for m, n != 0.
-    """
-    return _condition2_reduced(s.m, s.n, *lam.over(s.m, s.n))
-
-
 def _condition2_reduced(m: int, n: int, a: int, d: int, b: int, dp: int) -> int | None:
-    """`_condition2_d` on lambda/m = a/d and lambda*/n = b/d' in lowest terms."""
+    """Witness d of the cross-cancellation condition, or None, for lambda/m =
+    a/d and lambda*/n = b/d' in lowest terms (m, n != 0): lambda/m - lambda*/n
+    in Z, equal reduced denominators d, and d | (m + n)."""
     return d if dp == d and (a - b) % d == 0 and (m + n) % d == 0 else None
 
 
@@ -361,16 +372,16 @@ def _classify_reduced(s: Surface, reduced: tuple | None) -> tuple[Verdict, tuple
         raise DegenerateParametrizationError(f"{s} requires a lambda coordinate")
     a, d, b, dp = reduced
     if a == 0 or b == 0:
-        return Verdict.NOT_ABELIAN, None
+        return _NOT_ABELIAN
     if m % d == 0 and n % dp == 0:
-        return Verdict.INTEGER_LAMBDA, None
+        return _INTEGER_LAMBDA
     if _condition2_reduced(m, n, a, d, b, dp) is None:
-        return Verdict.NOT_ABELIAN, None
+        return _NOT_ABELIAN
     g, gamma = math.gcd(m, n), a % d
     gamma_prime, rem = divmod(1 - gamma * ((m + n) // d), g)
     if rem:
         raise CrossCheckError(f"gamma' is not integral on S_{{{m},{n}}} at {a}/{d}")
-    return Verdict.CONDITION2, (d, gamma, gamma_prime, g)
+    return _CONDITION2, (d, gamma, gamma_prime, g)
 
 
 def classify_lambda(s: Surface, lam: LambdaPair | None,
@@ -550,4 +561,5 @@ def realize_line_as_intersections(s: Surface, lam: LambdaPair,
         g = -g
     e_p, e_pstar = -lam.lam / s.m, -lam.lam_star / s.n
     line = LineParams(e_p, e_pstar, e_p - e_pstar)
-    return _walk_line(line, s, s, (dm // g, dn // g), range(1, count + 1))
+    return [Surface(m, n) for m, n in
+            _walk_line(line, s, s, (dm // g, dn // g), range(1, count + 1))]

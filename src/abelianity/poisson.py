@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import DomainError, EllipticContext, _DualNome
-from .lattice import LambdaPair, Surface, _condition2_d
+from .lattice import LambdaPair, Surface, _condition2_reduced
 
 # A table row (weight, l, k, sign) is one weighted term in the nome
 # q^{2N/l} with shift index k: the compact route takes
@@ -77,9 +77,8 @@ class PoissonParamsA:
 
         whose series I(y) is (m/l) D_{q^{2N/l}}(y^2) + (n/l*) D_{q^{2N/l*}}(y^2);
         no term is shifted."""
-        compact = [(self.w, self.ell, 0, 0), (self.w_star, self.ell_star, 0, 0)]
-        series = [(self.w, self.ell, 0, 0), (self.w_star, self.ell_star, 0, 0)]
-        return 1, -N * self.lam / self.surface.m, compact, series
+        table = [(self.w, self.ell, 0, 0), (self.w_star, self.ell_star, 0, 0)]
+        return 1, -N * self.lam / self.surface.m, table, table
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,12 @@ class PoissonParamsB:
         lam = Fraction(lam)
         if surface.m == 0 or surface.n == 0:
             raise DomainError(f"{surface} has no lambda coordinate")
-        d = _condition2_d(surface, LambdaPair.from_lambda(lam))
+        m, n = surface.m, surface.n
+        d = _condition2_reduced(m, n, *LambdaPair.from_lambda(lam).over(m, n))
         if d is None:
             raise DomainError("not a type (b) line: lambda/m - lambda*/n must be "
                               "an integer with common reduced denominator d | m+n")
-        return cls(surface, lam, d, surface.m % d)
+        return cls(surface, lam, d, m % d)
 
     def _terms(self, N: int) -> tuple[int, float, _Table, _Table]:
         """(scale, e, compact, series) of

@@ -19,7 +19,7 @@ import abelianity
 from abelianity import (Surface, Verdict, classify_lambda, exchange_exponents,
                         intersect_surfaces, is_abelian, lambda_of_intersection,
                         lattice, solve_condition2)
-from abelianity.cli import _frac_str, main
+from abelianity.cli import main
 from abelianity.elliptic import PoleError
 from reference_family import reference_enumerate_document, reference_lambda_pair
 
@@ -164,8 +164,8 @@ class TestEnumerateLines:
             for member in printed["members"]:
                 pair = reference_lambda_pair(fam, member["k"])
                 assert member == {
-                    "k": member["k"], "lambda": _frac_str(pair.lam),
-                    "lambda_star": _frac_str(pair.lam_star),
+                    "k": member["k"], "lambda": str(pair.lam),
+                    "lambda_star": str(pair.lam_star),
                     "tag": classify_lambda(s, pair, N).tag.value}
 
     @settings(max_examples=60, deadline=None)
@@ -182,6 +182,29 @@ class TestEnumerateLines:
             Surface(m, n), range(k_min, k_min + width + 1), N)
         assert_same_text(out.getvalue(), json.dumps(expected) + "\n")
 
+    @pytest.mark.parametrize("surface", ["1,2", "2,4", "-9,-3", "12,5", "1,2519"])
+    def test_classification_core_runs_once_per_member(self, capsys, monkeypatch, surface):
+        """`solve_condition2` classifies each of the five checked members of
+        each family exactly once, and `enumerate-lines` over the default k
+        range classifies nothing more; each member outside k = -2..2 costs
+        one more classification."""
+        calls = []
+        real = lattice._classify_reduced
+
+        def counting(s, reduced):
+            calls.append(reduced)
+            return real(s, reduced)
+
+        monkeypatch.setattr(lattice, "_classify_reduced", counting)
+        s = Surface(*(int(v) for v in surface.split(",")))
+        families = len(solve_condition2(s))
+        assert families and len(calls) == 5 * families
+        for extra, per_family in (((), 5), (("--k-min=-6", "--k-max=6"), 13)):
+            calls.clear()
+            rc, _ = run(capsys, "enumerate-lines", f"--surface={surface}", *extra)
+            assert rc == 0
+            assert len(calls) == per_family * families
+
     def test_reversed_k_range_is_exit_2(self, capsys):
         rc = main(["enumerate-lines", "--surface=2,2", "--k-min=3", "--k-max=1"])
         captured = capsys.readouterr()
@@ -190,7 +213,50 @@ class TestEnumerateLines:
         assert "error: --k-min 3 exceeds --k-max 1" in captured.err
 
 
+def reference_through_document(s1: Surface, s2: Surface, ts) -> dict:
+    """The `surfaces-through` document over t in ts as a dict tree, from
+    `intersect_surfaces` and `surfaces_through_line`; `json.dumps` of it is
+    the command's output."""
+    line = intersect_surfaces(s1, s2)
+    return {"s1": {"m": s1.m, "n": s1.n}, "s2": {"m": s2.m, "n": s2.n},
+            "line": {"e_p": str(line.e_p), "e_pstar": str(line.e_pstar),
+                     "c_over_N": str(line.c_over_N),
+                     "algebra_valid": line.algebra_valid},
+            "surfaces": [{"m": w.m, "n": w.n}
+                         for w in lattice.surfaces_through_line(s1, s2, ts)]}
+
+
 class TestSurfacesThrough:
+    @pytest.mark.parametrize("s1,s2,t_min,t_max", [
+        ((3, 6), (2, 5), -2, 2), ((1, 2), (2, 1), -1000, 1000), ((-5, 4), (3, -1), 0, 0),
+        ((0, 3), (4, 0), -7, 9), ((1, -1), (2, 5), -3, 3), ((7, -3), (1, 5), 40, 45)])
+    def test_bytes_match_the_dict_reference(self, capsys, s1, s2, t_min, t_max):
+        """The command writes its document as text, which must be
+        `json.dumps` of the dict tree of the public functions: whole and
+        extended-center surfaces, a one-surface window, algebra_valid true
+        and false, and the +-1000 walk of the benchmark."""
+        rc, out = run(capsys, "surfaces-through", f"--s1={s1[0]},{s1[1]}",
+                      f"--s2={s2[0]},{s2[1]}", f"--t-min={t_min}", f"--t-max={t_max}")
+        assert rc == 0
+        expected = reference_through_document(Surface(*s1), Surface(*s2),
+                                              range(t_min, t_max + 1))
+        assert_same_text(out, json.dumps(expected) + "\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
+           st.integers(-30, 30), st.integers(-50, 50), st.integers(0, 20))
+    def test_bytes_match_the_reference_property(self, m1, n1, m2, n2, t_min, width):
+        assume((m1, n1) != (0, 0) and (m2, n2) != (0, 0))
+        s1, s2 = Surface(m1, n1), Surface(m2, n2)
+        assume(intersect_surfaces(s1, s2) is not None)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["surfaces-through", f"--s1={m1},{n1}", f"--s2={m2},{n2}",
+                       f"--t-min={t_min}", f"--t-max={t_min + width}"])
+        assert rc == 0
+        expected = reference_through_document(s1, s2, range(t_min, t_min + width + 1))
+        assert_same_text(out.getvalue(), json.dumps(expected) + "\n")
+
     def test_window(self, capsys):
         rc, out = run(capsys, "surfaces-through", "--s1", "3,6", "--s2", "2,5",
                       "--t-min=-2", "--t-max", "2")
@@ -339,7 +405,7 @@ def verify_commands(count=200, seed=16):
             other = Surface(rng.randint(-6, 6) or 2, rng.randint(-6, 6) or 3)
             if intersect_surfaces(s, other) is not None:
                 lam = lambda_of_intersection(s, other).lam
-        cmds.append(["verify-y", f"--surface={m},{n}", f"--lambda={_frac_str(lam)}",
+        cmds.append(["verify-y", f"--surface={m},{n}", f"--lambda={lam}",
                      *tail])
     return cmds
 
@@ -539,10 +605,10 @@ class TestScan:
                             for s, lam, v in zip((s1, s2), lams, verdicts))
                 rows.append({
                     "s1": [s1.m, s1.n], "s2": [s2.m, s2.n],
-                    "e_p": _frac_str(line.e_p), "e_pstar": _frac_str(line.e_pstar),
-                    "c_over_N": _frac_str(line.c_over_N),
-                    "lambda_s1": lams[0] and _frac_str(lams[0].lam),
-                    "lambda_s2": lams[1] and _frac_str(lams[1].lam),
+                    "e_p": str(line.e_p), "e_pstar": str(line.e_pstar),
+                    "c_over_N": str(line.c_over_N),
+                    "lambda_s1": lams[0] and str(lams[0].lam),
+                    "lambda_s2": lams[1] and str(lams[1].lam),
                     "tag_s1": verdicts[0].tag.value, "tag_s2": verdicts[1].tag.value,
                     "oracle_agree": agree})
         return "\n".join(json.dumps(row) for row in rows) + "\n"
@@ -708,6 +774,19 @@ class TestCanonicalJson:
         assert lines[0]
         for text in lines:
             assert_same_text(text, json.dumps(json.loads(text)))
+
+    def test_tag_text_lookup_does_not_hash_the_verdict(self, capsys, monkeypatch):
+        """`scan` and `enumerate-lines` find each tag's text without hashing
+        the `Verdict`: `Enum.__hash__` runs in Python, once per member and
+        twice per row."""
+        def unhashable(self):
+            raise TypeError("Verdict hashed")
+
+        monkeypatch.setattr(Verdict, "__hash__", unhashable)
+        for argv in (["scan", "--box=2"],
+                     ["enumerate-lines", "--surface=2,4", "--k-min=-4", "--k-max=4"]):
+            rc, out = run(capsys, *argv)
+            assert rc == 0 and out.strip()
 
 
 class TestExitCodes:

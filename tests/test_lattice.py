@@ -16,6 +16,7 @@ from abelianity import (
     ConstructionFailedError,
     CrossCheckError,
     DegenerateParametrizationError,
+    LambdaFamily,
     LambdaPair,
     NoIntersectionError,
     Surface,
@@ -37,7 +38,7 @@ from abelianity.lattice import (
     SuperAbelianityVerdict,
     Witnesses,
     _bezout_min_second,
-    _condition2_d,
+    _condition2_reduced,
 )
 from reference_family import reference_lambda_pair
 
@@ -219,7 +220,7 @@ def bezout_realizations(s: Surface, lam: LambdaPair, k_values):
 def cross_cancellation_realizations(s: Surface, lam: LambdaPair, u_values):
     """Condition-2 realization family m' = m - (b/g)u, n' = n + (a/g)u where
     lambda/m = a/d, lambda*/n = b/d in lowest terms and g = gcd(a, b)."""
-    d = _condition2_d(s, lam)
+    d = _condition2_reduced(s.m, s.n, *lam.over(s.m, s.n))
     if d is None:
         raise ConstructionFailedError("line does not satisfy condition 2")
     a, _, b, _ = lam.over(s.m, s.n)
@@ -382,7 +383,7 @@ class TestSurfacesThroughLine:
         except CrossCheckError as exc:
             assert "fails to reproduce the line" in str(exc)
             walked = None
-        assert (walked == [w]) == expected
+        assert (walked == [(wm, wn)]) == expected
         if kind == "on":
             assert expected
 
@@ -470,11 +471,10 @@ class TestIntegerLayer:
     @given(surfaces, st.integers(-60, 60), st.integers(1, 40))
     @settings(max_examples=400)
     def test_condition2_d_matches_raw_predicate(self, s, num, den):
-        from abelianity.lattice import _condition2_d
         if s.m == 0 or s.n == 0:
             return
         lam = F(num, den)
-        d = _condition2_d(s, LambdaPair.from_lambda(lam))
+        d = _condition2_reduced(s.m, s.n, *LambdaPair.from_lambda(lam).over(s.m, s.n))
         assert (None if d == 1 else d) == raw_condition2(s, lam)
 
     @given(surfaces, st.integers(-60, 60), st.integers(1, 40))
@@ -651,7 +651,7 @@ class TestSolveCondition2:
 
         def in_some_family(lam):
             for f in fams:
-                a, d, _, _ = f._integers(0)[2]
+                (_, _, (a, d, _, _)), = f._integers([0])
                 diff = lam / s.m - F(a, d)
                 if diff % F(s.n, f.g) == 0:
                     return True
@@ -688,7 +688,7 @@ class TestSolveCondition2:
                 num, den, tag = f.member(k)
                 assert (num, den) == (pair.lam.numerator, pair.lam.denominator)
                 assert tag is reference_classify_lambda(s, pair).tag
-                a, d, b, dp = f._integers(k)[2]
+                (_, _, (a, d, b, dp)), = f._integers([k])
                 assert (a, d) == (over_m.numerator, over_m.denominator)
                 over_n = pair.lam_star / n
                 assert (b, dp) == (over_n.numerator, over_n.denominator)
@@ -730,6 +730,28 @@ class TestSolveCondition2:
         for fam in solve_condition2(Surface(*mn)):
             with pytest.raises(CrossCheckError):
                 dataclasses.replace(fam, **{name: getattr(fam, name) + delta})
+
+    def test_degenerate_condition2_retest_is_live(self, monkeypatch):
+        """Members of an integer-degenerate family get IntegerLambda before
+        the verdict core reaches condition 2, so the family re-tests
+        condition 2 itself: a predicate that gives d + 1 is caught on
+        S_{2,4}, whose family d = 2 is integer-degenerate.  Its other
+        families still classify as Condition2 with witness d, because the
+        core only asks whether the predicate holds."""
+        real = lattice._condition2_reduced
+        monkeypatch.setattr(lattice, "_condition2_reduced", lambda *args: real(*args) + 1)
+        with pytest.raises(CrossCheckError, match="fails condition 2"):
+            solve_condition2(Surface(2, 4))
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_extended_center_family_is_caught(self, degenerate):
+        """On S_{1,-1} the family d = 2, gamma = 1, gamma' = 1, g = 1, ell = 1,
+        ell' = 0 solves every witness equation (m + n = 0) and each of its
+        members satisfies condition 2 with d = 2; only the surface
+        precedence of the verdict core (ExtendedCenter) refuses it."""
+        with pytest.raises(CrossCheckError, match="EXTENDED_CENTER"):
+            LambdaFamily(surface=Surface(1, -1), d=2, gamma=1, gamma_prime=1, g=1,
+                         ell=1, ell_prime=0, integer_degenerate=degenerate)
 
 
 class TestSuperAbelianity:
@@ -937,7 +959,7 @@ class TestReferenceConstructionsOnWalk:
             got = list(bezout_realizations(s, lam, ks))
             assert len(got) >= len(ks) - 1  # only s itself is skipped
             refs += got
-        if _condition2_d(s, lam) is not None:
+        if _condition2_reduced(s.m, s.n, *lam.over(s.m, s.n)) is not None:
             us = [u for u in range(-3, 4) if u]
             got = list(cross_cancellation_realizations(s, lam, us))
             assert len(got) == len(us)
