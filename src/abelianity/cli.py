@@ -7,9 +7,11 @@ default form (", " and ": " separators); `scan`, `enumerate-lines` and
 Rationals are always serialized exactly as "a/b" strings, never as
 floats.  Exit codes: 0 success, 1 verification mismatch (exact verdict
 and numeric witness disagree, or no grid point could be evaluated), 2
-invalid input, including an --out path that cannot be written.  A
-reader that closes stdout early (`scan ... | head`) ends the command
-quietly with exit code 0.
+invalid input, including an --out path that cannot be written.  `scan`
+and `enumerate-lines` stream, one write per outer surface or divisor d; a
+mismatch found in mid-stream (exit 1) leaves what was written cut after
+the last whole one.  A reader that closes stdout early (`scan ... | head`)
+ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -133,14 +135,21 @@ def emit(report, fmt: str = "json") -> str:
     return "\n".join(",".join(row) for row in (header, *rows))
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    text += "\n"
-    # --out is opened first: a path that cannot be written is an input error
-    # (exit 2) before anything reaches stdout, as in `scan`
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """Yield a `write` that copies text to stdout and to --out, which is opened
+    first: an unwritable path is an input error (exit 2) before any byte."""
     with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
-        sys.stdout.write(text)
-        if fh:
-            fh.write(text)
+        def write(text: str) -> None:
+            sys.stdout.write(text)
+            if fh:
+                fh.write(text)
+        yield write
+
+
+def _write_output(text: str, out_path: str | None) -> None:
+    with _output(out_path) as write:
+        write(text + "\n")
 
 
 def _cmd_intersect(args) -> int:
@@ -193,26 +202,32 @@ def _cmd_enumerate_lines(args) -> int:
     if args.k_min > args.k_max:
         raise ValueError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     ks = range(args.k_min, args.k_max + 1)
+    divisors = lattice._families_by_divisor(s)  # input errors before any byte
     # the document is written as the text json.dumps gives for
     # {"surface", "N", "families": [{"d", ..., "members": [{"k", ...}]}]}:
-    # same keys in the same order, ", " and ": " separators
-    fams = []
-    for fam in lattice.solve_condition2(s):
-        members = []
-        for k in ks:
-            num, den, tag = fam.member(k)
-            # lambda = num/den and lambda* = (den - num)/den are both in
-            # lowest terms, so they share the "/den" (none when den == 1)
-            over = "" if den == 1 else f"/{den}"
-            members.append(f'{{"k": {k}, "lambda": "{num}{over}", "lambda_star": '
-                           f'"{den - num}{over}", "tag": {_TAG_JSON[tag._value_]}}}')
-        fams.append(f'{{"d": {fam.d}, "gamma": {fam.gamma}, '
-                    f'"gamma_prime": {fam.gamma_prime}, "g": {fam.g}, '
-                    f'"ell": {fam.ell}, "ell_prime": {fam.ell_prime}, '
-                    f'"integer_degenerate": {"true" if fam.integer_degenerate else "false"}, '
-                    f'"members": [{", ".join(members)}]}}')
-    _write_output(f'{{"surface": {emit(_surface_dict(s))}, "N": {args.N}, '
-                  f'"families": [{", ".join(fams)}]}}', args.out)
+    # same keys in the same order, ", " and ": " separators.  One write per
+    # divisor d, the first with the head, so a mismatch cuts it after a divisor
+    text = f'{{"surface": {emit(_surface_dict(s))}, "N": {args.N}, "families": ['
+    with _output(args.out) as write:
+        for families in divisors:
+            fams = []
+            for fam in families:
+                members = []
+                for k in ks:
+                    num, den, tag = fam.member(k)
+                    # lambda = num/den and lambda* = (den - num)/den are both in
+                    # lowest terms, so they share the "/den" (none when den == 1)
+                    over = "" if den == 1 else f"/{den}"
+                    members.append(f'{{"k": {k}, "lambda": "{num}{over}", "lambda_star": '
+                                   f'"{den - num}{over}", "tag": {_TAG_JSON[tag._value_]}}}')
+                fams.append(f'{{"d": {fam.d}, "gamma": {fam.gamma}, "gamma_prime": '
+                            f'{fam.gamma_prime}, "g": {fam.g}, "ell": {fam.ell}, '
+                            f'"ell_prime": {fam.ell_prime}, "integer_degenerate": '
+                            f'{"true" if fam.integer_degenerate else "false"}, '
+                            f'"members": [{", ".join(members)}]}}')
+            write(text + ", ".join(fams))
+            text = ", "
+        write(text.removesuffix(", ") + "]}\n")  # text is the head if no family
     return 0
 
 
@@ -299,7 +314,7 @@ def _cmd_verify_super(args) -> int:
     worst, used = _grid_max_deviation(
         elliptic.centrality_plan(ctx, abs(args.m), args.lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
-    numeric_ok = _numeric_ok(worst, used, oracle_empty or collapses)
+    numeric_ok = _numeric_ok(worst, used, oracle_empty or collapses, complete=args.N != 2)
     consistent = (verdict.super_abelian == oracle_empty) and numeric_ok
     report = {"m": args.m, "lambda": args.lam, "N": args.N, "q": args.q,
               "verdict": {"super_abelian": verdict.super_abelian,
@@ -362,11 +377,7 @@ def _cmd_scan(args) -> int:
     # "tag_s2", "oracle_agree"}: same keys in the same order, ", " and ": "
     # separators; every value is digits, "-" and "/", so nothing is escaped
     texts = [f"[{s.m}, {s.n}]" for s in surfaces]
-    with contextlib.ExitStack() as stack:
-        # one write per outer surface, copied to --out as it goes
-        sinks = [sys.stdout]
-        if args.out:
-            sinks.append(stack.enter_context(open(args.out, "w")))
+    with _output(args.out) as write:  # one write per outer surface
         for i, s1 in enumerate(surfaces):
             row = []
             head = f'{{"s1": {texts[i]}, "s2": '
@@ -393,12 +404,9 @@ def _cmd_scan(args) -> int:
                     f'"oracle_agree": {"true" if agree else "false"}}}')
             if row:
                 pairs += len(row)
-                text = "\n".join(row) + "\n"
-                for sink in sinks:
-                    sink.write(text)
+                write("\n".join(row) + "\n")
         if not pairs:  # an empty sweep is one blank line, like every report
-            for sink in sinks:
-                sink.write("\n")
+            write("\n")
     if disagree:
         print(f"scan: {pairs} intersecting pairs, {disagree} with "
               f"oracle_agree false", file=sys.stderr)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class NoIntersectionError(Exception):
@@ -456,6 +456,38 @@ def classify_intersection(s1: Surface, s2: Surface,
     return tuple(v for _, v in intersection_sides(s1, s2, N))
 
 
+def _families_by_divisor(s: Surface) -> Iterator[list[LambdaFamily]]:
+    """`solve_condition2`'s families, one list per admissible divisor d in
+    increasing order, each formed when reached; the arguments are checked first."""
+    m, n = s.m, s.n
+    if m == 0 or n == 0:
+        raise DegenerateParametrizationError(f"{s}: abelian on the whole surface")
+    if m + n == 0:
+        raise ValueError(
+            f"{s}: m+n=0 admits no cross-cancellation line; "
+            "only S_{1,-1} and S_{-1,1} are special (extended center)")
+    g = math.gcd(m, n)
+    ell, ell_prime = _bezout_min_second(m // g, n // g)
+    total = abs(m + n)
+
+    def by_divisor():
+        for d in range(2, total + 1):
+            if total % d != 0:
+                continue
+            quot = (m + n) // d
+            if math.gcd(abs(quot), g) != 1:
+                continue
+            # never empty: g | d, and some 0 < gamma < d coprime to d has
+            # gamma * quot = 1 mod g (Chinese remainders)
+            yield [LambdaFamily(surface=s, d=d, gamma=gamma,
+                                gamma_prime=(1 - gamma * quot) // g, g=g,
+                                ell=ell, ell_prime=ell_prime,
+                                integer_degenerate=(m % d == 0))
+                   for gamma in range(1, d)
+                   if math.gcd(gamma, d) == 1 and (1 - gamma * quot) % g == 0]
+    return by_divisor()
+
+
 def solve_condition2(s: Surface) -> list[LambdaFamily]:
     """All (d, gamma) families solving the cross-cancellation condition on s.
 
@@ -468,35 +500,7 @@ def solve_condition2(s: Surface) -> list[LambdaFamily]:
     Returns [] when no admissible (d, gamma) exists, i.e. no
     cross-cancellation can occur on this surface.
     """
-    m, n = s.m, s.n
-    if m == 0 or n == 0:
-        raise DegenerateParametrizationError(f"{s}: abelian on the whole surface")
-    if m + n == 0:
-        raise ValueError(
-            f"{s}: m+n=0 admits no cross-cancellation line; "
-            "only S_{1,-1} and S_{-1,1} are special (extended center)")
-    g = math.gcd(m, n)
-    m_bar, n_bar = m // g, n // g
-    ell, ell_prime = _bezout_min_second(m_bar, n_bar)
-
-    families: list[LambdaFamily] = []
-    total = abs(m + n)
-    for d in range(2, total + 1):
-        if total % d != 0:
-            continue
-        quot = (m + n) // d
-        if math.gcd(abs(quot), g) != 1:
-            continue
-        for gamma in range(1, d):
-            if math.gcd(gamma, d) != 1:
-                continue
-            rhs = 1 - gamma * quot
-            if rhs % g != 0:
-                continue
-            families.append(LambdaFamily(
-                surface=s, d=d, gamma=gamma, gamma_prime=rhs // g, g=g,
-                ell=ell, ell_prime=ell_prime, integer_degenerate=(m % d == 0)))
-    return families
+    return [fam for families in _families_by_divisor(s) for fam in families]
 
 
 def super_abelianity_check(m: int, lam: int) -> SuperAbelianityVerdict:

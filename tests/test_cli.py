@@ -212,6 +212,85 @@ class TestEnumerateLines:
         assert captured.out == ""
         assert "error: --k-min 3 exceeds --k-max 1" in captured.err
 
+    @pytest.mark.parametrize("surface", ["1,-1", "0,5"])
+    def test_invalid_surface_writes_nothing(self, capsys, tmp_path, surface):
+        """The surface is checked before any byte is written, and before
+        --out is opened."""
+        path = tmp_path / "fam.json"
+        rc = main(["enumerate-lines", f"--surface={surface}", f"--out={path}"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and not path.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("surface,divisors", [("1,2519", 47), ("3,-2", 0), ("-9,-3", 3)])
+    def test_streams_one_write_per_divisor(self, capsys, monkeypatch, surface, divisors):
+        """The head goes out with the first divisor's families, then one write
+        per divisor and one that closes the document.  Every prefix of whole
+        writes, closed with "]}", is the document cut after a divisor."""
+        writes = []
+        real_write = sys.stdout.write
+        monkeypatch.setattr(sys.stdout, "write",
+                            lambda text: writes.append(text) or real_write(text))
+        assert main(["enumerate-lines", f"--surface={surface}"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(writes) == divisors + 1
+        ds = sorted({fam["d"] for fam in doc["families"]})
+        assert len(ds) == divisors
+        for i, d in enumerate(ds, 1):
+            cut = json.loads("".join(writes[:i]) + "]}")
+            assert cut["families"] == [fam for fam in doc["families"] if fam["d"] <= d]
+        assert writes[-1] == ("]}\n" if divisors else "".join(writes))
+        m, n = surface.split(",")
+        head = f'{{"surface": {{"m": {m}, "n": {n}}}, "N": 3, "families": ['
+        assert writes[0].startswith(head + (f'{{"d": {ds[0]}, ' if divisors else "]}"))
+
+    @pytest.mark.parametrize("surface,bad_d", [("5,7", 6), ("5,7", 12), ("-9,-3", 6)])
+    def test_mismatch_cuts_the_document_after_the_last_whole_divisor(
+            self, capsys, monkeypatch, tmp_path, surface, bad_d):
+        """A member of divisor bad_d given the wrong verdict fails its family's
+        self-check: exit 1 with a `verification mismatch:` line, and stdout
+        (and --out) hold the document up to the end of the divisor before."""
+        s = Surface(*(int(v) for v in surface.split(",")))
+        reference = reference_enumerate_document(s, range(-2, 3), 3)
+        full = json.dumps(reference) + "\n"
+        reference["families"] = [f for f in reference["families"] if f["d"] < bad_d]
+        cut = json.dumps(reference)[:-2]  # the closing "]}" is never written
+        assert reference["families"] and len(cut) < len(full) and full.startswith(cut)
+        real = lattice._classify_reduced
+        failed = []
+
+        def wrong_once(s, reduced):
+            verdict = real(s, reduced)
+            if not failed and verdict[1] and verdict[1][0] == bad_d:
+                failed.append(reduced)
+                return Verdict.NOT_ABELIAN, None
+            return verdict
+
+        monkeypatch.setattr(lattice, "_classify_reduced", wrong_once)
+        path = tmp_path / "fam.json"
+        rc = main(["enumerate-lines", f"--surface={surface}", f"--out={path}"])
+        captured = capsys.readouterr()
+        assert rc == 1 and failed
+        assert captured.err.startswith("verification mismatch: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == cut and path.read_text() == cut
+
+    def test_closed_pipe_is_quiet(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(abelianity.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "abelianity", "enumerate-lines", "--surface=1,2519"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.read(64)
+        proc.stdout.close()  # like `| head -c64`: the reader goes away
+        err = proc.stderr.read()
+        proc.stderr.close()
+        rc = proc.wait(timeout=120)
+        assert first.startswith(b'{"surface": {"m": 1, "n": 2519}, "N": 3, "families": [')
+        assert b"Traceback" not in err and b"Error" not in err
+        assert rc == 0
+
 
 def reference_through_document(s1: Surface, s2: Surface, ts) -> dict:
     """The `surfaces-through` document over t in ts as a dict tree, from
@@ -292,6 +371,28 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["verdict"]["failed_condition"] == 1
         assert doc["max_abs_ratio_minus_1"] > 1e-4
+
+    def test_verify_super_n2_claims_no_completeness(self, capsys):
+        """N = 2 is the sufficient-only regime, as in verify-y: a non-super-
+        abelian line whose ratio is numerically 1 (6.7e-15) is no mismatch."""
+        rc, out = run(capsys, "verify-super", "--m=38", "--lambda=6", "--N=2", "--q=0.8")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["verdict"]["super_abelian"] is False and doc["oracle_empty"] is False
+        assert doc["max_abs_ratio_minus_1"] < 1e-4
+        assert doc["consistent"] is True
+
+    @pytest.mark.parametrize("N,rc", [(2, 0), (3, 1), (4, 1)])
+    def test_verify_super_completeness_from_n3(self, capsys, monkeypatch, N, rc):
+        """From N = 3 a non-super-abelian line must still deviate somewhere:
+        a grid on which its ratio is 1 is a mismatch."""
+        from abelianity import cli
+
+        monkeypatch.setattr(cli, "_grid_max_deviation", lambda evaluate, grid: (0.0, 20))
+        got, out = run(capsys, "verify-super", "--m=2", "--lambda=1", f"--N={N}")
+        doc = json.loads(out)
+        assert doc["verdict"]["super_abelian"] is False and doc["cycle_collapse"] is False
+        assert got == rc and doc["consistent"] is (rc == 0)
 
     def test_verify_super_cycle_collapse_reported(self, capsys):
         rc, out = run(capsys, "verify-super", "--m", "9", "--lambda", "4",
@@ -412,8 +513,11 @@ def verify_commands(count=200, seed=16):
 
 # sha256 over every command of `verify_commands()`: its argv, exit code,
 # stdout and stderr, recorded before `ufunc`, `ufunc_a` and the shift plans
-# were folded into one U evaluator; the outputs must stay byte-identical
-VERIFY_COMMANDS_SHA256 = "0c6958d69d5672a7d6d5e68cfe6f35c3237f405a6357b7970dc924fb98c91eca"
+# were folded into one U evaluator; the outputs must stay byte-identical.
+# Re-recorded when verify-super stopped claiming completeness at N = 2, which
+# changed one command: `verify-super --m=38 --lambda=6 --N=2 --q=0.8` now
+# exits 0 with "consistent": true
+VERIFY_COMMANDS_SHA256 = "b2434a31ccb8795a5ea67919b4270224e5ca3f504683807a12e53f259b6e1b46"
 
 
 def test_verify_commands_bytes_unchanged(capsys):
@@ -738,6 +842,7 @@ class TestOutFile:
     @pytest.mark.parametrize("argv", [
         ["classify", "--surface=2,5", "--lambda=1/3"],
         ["scan", "--box=1"],
+        ["enumerate-lines", "--surface=1,2519"],
     ], ids=" ".join)
     def test_unwritable_path_is_exit_2(self, capsys, tmp_path, argv):
         path = tmp_path / "missing" / "x.json"

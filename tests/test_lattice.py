@@ -624,6 +624,28 @@ class TestSolveCondition2:
         with pytest.raises(DegenerateParametrizationError):
             solve_condition2(Surface(0, 3))
 
+    @pytest.mark.parametrize("mn,error", [((1, -1), ValueError),
+                                          ((0, 3), DegenerateParametrizationError),
+                                          ((-4, 0), DegenerateParametrizationError)])
+    def test_divisor_generator_checks_on_the_call(self, mn, error):
+        """The arguments are checked before the iterator is returned, so a
+        caller can reject a surface before it writes anything."""
+        with pytest.raises(error):
+            lattice._families_by_divisor(Surface(*mn))
+
+    @pytest.mark.parametrize("mn", [(1, 2519), (-9, -3), (5, 7), (2, 4), (3, -2), (6, 10)])
+    def test_divisor_generator_groups_solve_condition2(self, mn):
+        """One non-empty list per admissible divisor, increasing in d, whose
+        concatenation is `solve_condition2`."""
+        m, n = mn
+        g, total = math.gcd(m, n), abs(m + n)
+        admissible = [d for d in range(2, total + 1)
+                      if total % d == 0 and math.gcd((m + n) // d, g) == 1]
+        groups = list(lattice._families_by_divisor(Surface(m, n)))
+        assert [fams[0].d for fams in groups] == admissible
+        assert all(f.d == fams[0].d for fams in groups for f in fams)
+        assert [f for fams in groups for f in fams] == solve_condition2(Surface(*mn))
+
     def test_families_on_2_2(self):
         fams = solve_condition2(Surface(2, 2))
         assert {(f.d, f.gamma) for f in fams} == {(4, 1), (4, 3)}
