@@ -6,9 +6,11 @@ default form (", " and ": " separators); `scan`, `enumerate-lines` and
 `surfaces-through` write theirs directly in it, building no dicts for them.
 Rationals are always serialized exactly as "a/b" strings, never as
 floats.  Exit codes: 0 success, 1 verification mismatch (exact verdict
-and numeric witness disagree, or no grid point could be evaluated), 2
-invalid input, including an --out path that cannot be written.  `scan`
-and `enumerate-lines` stream, one write per outer surface or divisor d; a
+and numeric witness disagree, or no grid point could be evaluated; from
+N = 3 on, a non-identity within COMPLETE_TOL of 1 on the whole grid is one,
+as in `verify-super --m=38 --lambda=6 --N=3 --q=0.8`), 2 invalid input,
+including an --out path that cannot be written.  `scan` and
+`enumerate-lines` stream, one write per outer surface or divisor d; a
 mismatch found in mid-stream (exit 1) leaves what was written cut after
 the last whole one.  A reader that closes stdout early (`scan ... | head`)
 ends the command quietly with exit code 0.
@@ -112,10 +114,13 @@ def _lambda_dict(lam: LambdaPair | None) -> dict | None:
     return {"lambda": str(lam.lam), "lambda_star": str(lam.lam_star)}
 
 
-def _verdict_dict(v: lattice.AbelianityVerdict) -> dict:
+def _verdict_dict(v: lattice.AbelianityVerdict, N: int) -> dict:
+    """The verdict, which does not depend on N, with the N = 2 caveat: there
+    the conditions are only sufficient ("magic" theta cancellations can occur
+    because the q^2 shift coincides with the q^N half-period)."""
     wit = None if v.witnesses is None else dataclasses.asdict(v.witnesses)
     return {"tag": v.tag.value, "abelian": v.is_abelian,
-            "witnesses": wit, "n_caveat": v.n_caveat}
+            "witnesses": wit, "n_caveat": N == 2}
 
 
 def _line_dict(line: lattice.LineParams | None) -> dict | None:
@@ -160,9 +165,10 @@ def _cmd_intersect(args) -> int:
               "lambda_s1": None, "lambda_s2": None,
               "verdict_s1": None, "verdict_s2": None}
     if line is not None:
-        (lam1, v1), (lam2, v2) = lattice.intersection_sides(s1, s2, args.N)
+        (lam1, v1), (lam2, v2) = lattice.intersection_sides(s1, s2)
         report.update(lambda_s1=_lambda_dict(lam1), lambda_s2=_lambda_dict(lam2),
-                      verdict_s1=_verdict_dict(v1), verdict_s2=_verdict_dict(v2))
+                      verdict_s1=_verdict_dict(v1, args.N),
+                      verdict_s2=_verdict_dict(v2, args.N))
     _write_output(emit(report), args.out)
     return 0
 
@@ -184,12 +190,12 @@ def _oracle_agreement(s: Surface, lam: LambdaPair | None,
 def _cmd_classify(args) -> int:
     s = args.surface
     lam = LambdaPair.from_lambda(args.lam)
-    verdict = lattice.classify_lambda(s, lam, args.N)
+    verdict = lattice.classify_lambda(s, lam)
     mset = oracle.exchange_exponents(s, lam)
     oracle_abelian = oracle.is_abelian(mset)
     excluded, consistent = _oracle_agreement(s, lam, verdict, oracle_abelian)
     report = {"surface": _surface_dict(s), "lambda": _lambda_dict(lam),
-              "N": args.N, "verdict": _verdict_dict(verdict),
+              "N": args.N, "verdict": _verdict_dict(verdict, args.N),
               "oracle_abelian": oracle_abelian,
               "zero_lambda_exclusion": excluded,
               "consistent": consistent}
@@ -266,16 +272,16 @@ def _grid_max_deviation(evaluate, grid) -> tuple[float, int]:
     return worst, used
 
 
-def _numeric_ok(worst: float, used: int, identity: bool,
-                complete: bool = True) -> bool:
+def _numeric_ok(worst: float, used: int, identity: bool, N: int) -> bool:
     """Numeric witness check: an identity must stay below SOUND_TOL, and a
-    non-identity must exceed COMPLETE_TOL somewhere when completeness is
-    claimed.  A grid on which no point could be evaluated checks nothing."""
+    non-identity must exceed COMPLETE_TOL somewhere, except at N = 2, the
+    sufficient-only regime, which claims no completeness.  A grid on which no
+    point could be evaluated checks nothing."""
     if used == 0:
         return False
     if identity:
         return worst < SOUND_TOL
-    return not complete or worst > COMPLETE_TOL
+    return N == 2 or worst > COMPLETE_TOL
 
 
 def _cmd_verify_y(args) -> int:
@@ -286,16 +292,14 @@ def _cmd_verify_y(args) -> int:
     ctx = EllipticContext(N=args.N, q=args.q)
     mset = oracle.exchange_exponents(s, lam)
     oracle_abelian = oracle.is_abelian(mset)
-    verdict = lattice.classify_lambda(s, lam, args.N)
+    verdict = lattice.classify_lambda(s, lam)
     _, classification_ok = _oracle_agreement(s, lam, verdict, oracle_abelian)
     worst, used = _grid_max_deviation(elliptic.exchange_plan(ctx, s, lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
-    # N=2 is the sufficient-only regime: no completeness claim
-    numeric_ok = _numeric_ok(worst, used, oracle_abelian or collapses,
-                             complete=args.N != 2)
+    numeric_ok = _numeric_ok(worst, used, oracle_abelian or collapses, args.N)
     report = {"surface": _surface_dict(s), "lambda": _lambda_dict(lam),
               "N": args.N, "q": args.q,
-              "verdict": _verdict_dict(verdict),
+              "verdict": _verdict_dict(verdict, args.N),
               "oracle_abelian": oracle_abelian,
               "cycle_collapse": collapses and not oracle_abelian,
               "max_abs_y_minus_1": worst,
@@ -309,19 +313,15 @@ def _cmd_verify_y(args) -> int:
 def _cmd_verify_super(args) -> int:
     verdict = lattice.super_abelianity_check(args.m, args.lam)
     mset = oracle.centrality_exponents(abs(args.m), args.lam)
-    oracle_empty = mset.is_empty()
+    oracle_empty = oracle.is_abelian(mset)
     ctx = EllipticContext(N=args.N, q=args.q)
     worst, used = _grid_max_deviation(
         elliptic.centrality_plan(ctx, abs(args.m), args.lam), args.grid)
     collapses = oracle.cycle_collapses(mset, args.N)
-    numeric_ok = _numeric_ok(worst, used, oracle_empty or collapses, complete=args.N != 2)
+    numeric_ok = _numeric_ok(worst, used, oracle_empty or collapses, args.N)
     consistent = (verdict.super_abelian == oracle_empty) and numeric_ok
     report = {"m": args.m, "lambda": args.lam, "N": args.N, "q": args.q,
-              "verdict": {"super_abelian": verdict.super_abelian,
-                          "failed_condition": verdict.failed_condition,
-                          "beta0": verdict.beta0,
-                          "beta0_prime": verdict.beta0_prime,
-                          "m_reduced_from": verdict.m_reduced_from},
+              "verdict": dataclasses.asdict(verdict),
               "oracle_empty": oracle_empty,
               "cycle_collapse": collapses and not oracle_empty,
               "max_abs_ratio_minus_1": worst,
@@ -334,7 +334,7 @@ def _cmd_verify_super(args) -> int:
 def _cmd_poisson(args) -> int:
     s = args.surface
     lam = LambdaPair.from_lambda(args.lam)
-    verdict = lattice.classify_lambda(s, lam, args.N)
+    verdict = lattice.classify_lambda(s, lam)
     if verdict.tag not in (lattice.Verdict.INTEGER_LAMBDA,
                            lattice.Verdict.CONDITION2,
                            lattice.Verdict.EXTENDED_CENTER):

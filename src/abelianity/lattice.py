@@ -161,9 +161,6 @@ class Witnesses:
 class AbelianityVerdict:
     tag: Verdict
     witnesses: Witnesses | None = None
-    # conditions are only sufficient when N=2 ("magic" theta cancellations
-    # can occur because the q^2 shift coincides with the q^N half-period)
-    n_caveat: bool = False
 
     @property
     def is_abelian(self) -> bool:
@@ -384,8 +381,7 @@ def _classify_reduced(s: Surface, reduced: tuple | None) -> tuple[Verdict, tuple
     return _CONDITION2, (d, gamma, gamma_prime, g)
 
 
-def classify_lambda(s: Surface, lam: LambdaPair | None,
-                    N: int = 3) -> AbelianityVerdict:
+def classify_lambda(s: Surface, lam: LambdaPair | None) -> AbelianityVerdict:
     """Abelianity verdict for the line with coordinate lam on surface s.
 
     Precedence: whole-surface (m=0 or n=0), extended center (m,n)=+-(1,-1),
@@ -397,7 +393,7 @@ def classify_lambda(s: Surface, lam: LambdaPair | None,
     """
     tag, witnesses = _classify_reduced(
         s, None if lam is None or s.is_whole_surface_abelian() else lam.over(s.m, s.n))
-    return AbelianityVerdict(tag, witnesses and Witnesses(*witnesses), N == 2)
+    return AbelianityVerdict(tag, witnesses and Witnesses(*witnesses))
 
 
 def _sides_reduced(s1: Surface, s2: Surface) -> tuple | None:
@@ -435,7 +431,7 @@ def _sides_reduced(s1: Surface, s2: Surface) -> tuple | None:
     return (a, d, b, dp), (c, e), tuple(sides)
 
 
-def intersection_sides(s1: Surface, s2: Surface, N: int = 3
+def intersection_sides(s1: Surface, s2: Surface
                        ) -> tuple[tuple[LambdaPair | None, AbelianityVerdict], ...]:
     """(lam, verdict) on each side of the intersection line, lam being the
     side's coordinate (None on a whole surface, m=0 or n=0).  On the line
@@ -445,15 +441,15 @@ def intersection_sides(s1: Surface, s2: Surface, N: int = 3
     if core is None:
         raise NoIntersectionError(f"{s1} and {s2} do not intersect")
     return tuple((lam and LambdaPair.from_lambda(Fraction(*lam)),
-                  AbelianityVerdict(tag, witnesses and Witnesses(*witnesses), N == 2))
+                  AbelianityVerdict(tag, witnesses and Witnesses(*witnesses)))
                  for lam, tag, witnesses in core[2])
 
 
-def classify_intersection(s1: Surface, s2: Surface,
-                          N: int = 3) -> tuple[AbelianityVerdict, AbelianityVerdict]:
+def classify_intersection(s1: Surface, s2: Surface
+                          ) -> tuple[AbelianityVerdict, AbelianityVerdict]:
     """Verdicts for both sides of the intersection line of s1 and s2, with
     the intersection-level cross-check of `intersection_sides`."""
-    return tuple(v for _, v in intersection_sides(s1, s2, N))
+    return tuple(v for _, v in intersection_sides(s1, s2))
 
 
 def _families_by_divisor(s: Surface) -> Iterator[list[LambdaFamily]]:

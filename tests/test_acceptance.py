@@ -67,7 +67,7 @@ def sweep():
         for s2 in surfs[i + 1:]:
             if intersect_surfaces(s1, s2) is None:
                 continue
-            v1, v2 = classify_intersection(s1, s2, N)
+            v1, v2 = classify_intersection(s1, s2)
             for sa, sb, v in ((s1, s2, v1), (s2, s1, v2)):
                 lam = None
                 if sa.m != 0 and sa.n != 0:
@@ -79,10 +79,10 @@ def sweep():
 
 def test_criterion_1_worked_example():
     expected = (Verdict.INTEGER_LAMBDA, Verdict.NOT_ABELIAN)
-    v1, v2 = classify_intersection(Surface(3, 6), Surface(2, 5), N)
+    v1, v2 = classify_intersection(Surface(3, 6), Surface(2, 5))
     ok = (v1.tag, v2.tag) == expected and v1.is_abelian and not v2.is_abelian
     best = min(
-        (lambda t0: (classify_intersection(Surface(3, 6), Surface(2, 5), N),
+        (lambda t0: (classify_intersection(Surface(3, 6), Surface(2, 5)),
                      time.perf_counter() - t0)[1])(time.perf_counter())
         for _ in range(5))
     report("criterion 1 (worked intersection example)",
@@ -167,7 +167,7 @@ def test_criterion_4_whole_surface_and_witnesses():
     tags = []
     for k in (2, 3):
         w = Surface((1 - k) * 3, k * 3 + 1)
-        v_w, v_0n = classify_intersection(w, Surface(0, 3), N)
+        v_w, v_0n = classify_intersection(w, Surface(0, 3))
         tags.append((v_w.tag, v_0n.tag))
     witness_ok = all(t == (Verdict.NOT_ABELIAN, Verdict.WHOLE_SURFACE)
                      for t in tags)
@@ -340,7 +340,7 @@ def test_criterion_9_realizations():
             if lam.denominator > 8 or lam in (0, 1):
                 continue
         pair = LambdaPair.from_lambda(lam)
-        if not classify_lambda(s, pair, N).is_abelian:
+        if not classify_lambda(s, pair).is_abelian:
             continue
         lines.append((s, pair))
 

@@ -121,6 +121,21 @@ class TestClassify:
         assert doc["zero_lambda_exclusion"] is True
 
 
+class TestNCaveat:
+    def test_n2_caveat_flag(self, capsys):
+        """The verdict does not depend on N; the CLI marks N = 2, where the
+        conditions are only sufficient, with "n_caveat" on every verdict."""
+        for N, caveat in ((2, True), (3, False)):
+            _, out = run(capsys, "intersect", "--s1=3,6", "--s2=2,5", f"--N={N}")
+            doc = json.loads(out)
+            assert doc["verdict_s1"]["n_caveat"] is doc["verdict_s2"]["n_caveat"] is caveat
+            for argv in (["classify", "--lambda=-2/3"], ["verify-y", "--lambda=-2/3"]):
+                rc, out = run(capsys, *argv, "--surface=2,5", f"--N={N}")
+                verdict = json.loads(out)["verdict"]
+                assert rc == 0 and verdict["tag"] == "NotAbelian"
+                assert verdict["n_caveat"] is caveat
+
+
 class TestEnumerateLines:
     def test_families(self, capsys):
         rc, out = run(capsys, "enumerate-lines", "--surface", "2,2")
@@ -166,7 +181,7 @@ class TestEnumerateLines:
                 assert member == {
                     "k": member["k"], "lambda": str(pair.lam),
                     "lambda_star": str(pair.lam_star),
-                    "tag": classify_lambda(s, pair, N).tag.value}
+                    "tag": classify_lambda(s, pair).tag.value}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-6, 6),
@@ -532,6 +547,50 @@ def test_verify_commands_bytes_unchanged(capsys):
         captured = capsys.readouterr()
         digest.update(f"{' '.join(argv)}\n{rc}\n{captured.out}{captured.err}".encode())
     assert digest.hexdigest() == VERIFY_COMMANDS_SHA256
+
+
+def exact_commands(count=150, seed=19):
+    """A fixed, seeded list of `intersect` and `classify` commands: box-3
+    surface pairs, and lambdas on box-3 surfaces (random, or the coordinate of
+    an intersection line), at N = 2, 3 and 4.  The box holds the whole
+    surfaces (m = 0 or n = 0) and the extended center (1,-1), (-1,1)."""
+    rng = random.Random(seed)
+    box = [Surface(m, n) for m in range(-3, 4) for n in range(-3, 4) if (m, n) != (0, 0)]
+    cmds = []
+    for i in range(count):
+        rank = f"--N={2 + i % 3}"
+        if i % 2:
+            s1, s2 = rng.sample(box, 2)
+            cmds.append(["intersect", f"--s1={s1.m},{s1.n}", f"--s2={s2.m},{s2.n}", rank])
+            continue
+        s, other = rng.sample(box, 2)
+        lam = F(rng.randint(-12, 12), rng.randint(1, 6))
+        if rng.random() < 0.5 and not s.is_whole_surface_abelian() \
+                and intersect_surfaces(s, other) is not None:
+            lam = lambda_of_intersection(s, other).lam
+        cmds.append(["classify", f"--surface={s.m},{s.n}", f"--lambda={lam}", rank])
+    return cmds
+
+
+# sha256 over every command of `exact_commands()`: its argv, exit code, stdout
+# and stderr, recorded before N left the exact layer (the N = 2 caveat is now
+# decided in the CLI alone); the outputs must stay byte-identical
+EXACT_COMMANDS_SHA256 = "366695282cfc83ded29f555f374eb4812dcf10589891266bbb13ed9763c563dd"
+
+
+def test_exact_commands_bytes_unchanged(capsys):
+    cmds = exact_commands()
+    assert len(cmds) == 150
+    assert {c[-1] for c in cmds} == {"--N=2", "--N=3", "--N=4"}
+    surfaces = {a.split("=")[1] for c in cmds for a in c[1:3] if a.startswith("--s")}
+    assert {"1,-1", "-1,1"} <= surfaces
+    assert any(s.startswith("0,") or s.endswith(",0") for s in surfaces)
+    digest = hashlib.sha256()
+    for argv in cmds:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{' '.join(argv)}\n{rc}\n{captured.out}{captured.err}".encode())
+    assert digest.hexdigest() == EXACT_COMMANDS_SHA256
 
 
 class TestPoissonCommand:

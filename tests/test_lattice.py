@@ -82,30 +82,27 @@ def reference_condition2_witnesses(s: Surface, a: int, d: int) -> Witnesses:
     return Witnesses(d=d, gamma=gamma, gamma_prime=gamma_prime, g=g)
 
 
-def reference_classify_lambda(s: Surface, lam: LambdaPair | None,
-                              N: int = 3) -> AbelianityVerdict:
+def reference_classify_lambda(s: Surface, lam: LambdaPair | None) -> AbelianityVerdict:
     """The Fraction path that `classify_lambda` took before its branches
     moved onto the reduced integers (a, d, b, d'): zero and integer lambda
     are read from the `Fraction` accessors, and only the remaining lines
     are reduced."""
-    caveat = (N == 2)
     if s.is_whole_surface_abelian():
-        return AbelianityVerdict(Verdict.WHOLE_SURFACE, n_caveat=caveat)
+        return AbelianityVerdict(Verdict.WHOLE_SURFACE)
     if s.is_extended_center():
-        return AbelianityVerdict(Verdict.EXTENDED_CENTER, n_caveat=caveat)
+        return AbelianityVerdict(Verdict.EXTENDED_CENTER)
     if lam.lam.numerator == 0 or lam.lam_star.numerator == 0:
-        return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
+        return AbelianityVerdict(Verdict.NOT_ABELIAN)
     if lam.lam.denominator == 1 and lam.lam_star.denominator == 1:
-        return AbelianityVerdict(Verdict.INTEGER_LAMBDA, n_caveat=caveat)
+        return AbelianityVerdict(Verdict.INTEGER_LAMBDA)
     a, d, b, dp = lam.over(s.m, s.n)
     if reference_condition2_reduced(s, a, d, b, dp) is not None:
         return AbelianityVerdict(Verdict.CONDITION2,
-                                 witnesses=reference_condition2_witnesses(s, a, d),
-                                 n_caveat=caveat)
-    return AbelianityVerdict(Verdict.NOT_ABELIAN, n_caveat=caveat)
+                                 witnesses=reference_condition2_witnesses(s, a, d))
+    return AbelianityVerdict(Verdict.NOT_ABELIAN)
 
 
-def reference_intersection_sides(s1: Surface, s2: Surface, N: int = 3):
+def reference_intersection_sides(s1: Surface, s2: Surface):
     """`intersection_sides` as it was before it became the wrapper of an
     integer core: each side's coordinate from `lambda_of_intersection` in
     `Fraction` arithmetic, its verdict from `reference_classify_lambda`, and
@@ -119,7 +116,7 @@ def reference_intersection_sides(s1: Surface, s2: Surface, N: int = 3):
 
     def _side(sa: Surface, sb: Surface, det_ab: int):
         lam = None if sa.is_whole_surface_abelian() else lambda_of_intersection(sa, sb)
-        verdict = reference_classify_lambda(sa, lam, N)
+        verdict = reference_classify_lambda(sa, lam)
         cond_a = (sa.m * (sa.n - sb.n)) % det_ab == 0
         if (cond_a or cond_b or center) != verdict.is_abelian:
             raise CrossCheckError(f"intersection conditions disagree on {sa}")
@@ -451,12 +448,6 @@ class TestClassifyLambda:
         assert classify_lambda(Surface(3, 1), LambdaPair.from_lambda(1)).tag \
             is Verdict.NOT_ABELIAN
 
-    def test_n2_caveat_flag(self):
-        v = classify_lambda(Surface(2, 5), LambdaPair.from_lambda(F(-2, 3)), N=2)
-        assert v.n_caveat
-        assert not classify_lambda(Surface(2, 5),
-                                   LambdaPair.from_lambda(F(-2, 3)), N=3).n_caveat
-
     def test_condition2_witness_solves_bezout_equation(self):
         s = Surface(5, 2)
         v = classify_lambda(s, LambdaPair.from_lambda(F(15, 7)))
@@ -487,13 +478,13 @@ class TestIntegerLayer:
         assert F(a, d) == pair.lam / s.m and d == (pair.lam / s.m).denominator
         assert F(b, dp) == pair.lam_star / s.n and dp == (pair.lam_star / s.n).denominator
 
-    @given(lines_on_wide_surfaces(), st.sampled_from([2, 3, 4]))
+    @given(lines_on_wide_surfaces())
     @settings(max_examples=500, deadline=None)
-    def test_integer_core_matches_fraction_path(self, line, N):
+    def test_integer_core_matches_fraction_path(self, line):
         """classify_lambda on (a, d, b, d') gives the Fraction path's
-        verdict, witnesses and n_caveat included."""
+        verdict and witnesses."""
         s, lam = line
-        assert classify_lambda(s, lam, N) == reference_classify_lambda(s, lam, N)
+        assert classify_lambda(s, lam) == reference_classify_lambda(s, lam)
 
     def test_invariants_still_checked(self):
         with pytest.raises(ValueError):
@@ -544,13 +535,13 @@ class TestClassifyIntersection:
                 else lambda_of_intersection(sa, sb)
             assert is_abelian(exchange_exponents(sa, lam)) == v.is_abelian
 
-    @given(intersecting_pairs(), st.sampled_from([2, 3]))
+    @given(intersecting_pairs())
     @settings(max_examples=400, deadline=None)
-    def test_sides_match_the_fraction_reference(self, pair, N):
-        """The integer core gives each side the lambda, tag, witnesses and
-        n_caveat of the `Fraction` path, on surfaces up to 10**6."""
+    def test_sides_match_the_fraction_reference(self, pair):
+        """The integer core gives each side the lambda, tag and witnesses
+        of the `Fraction` path, on surfaces up to 10**6."""
         s1, s2 = pair
-        assert intersection_sides(s1, s2, N) == reference_intersection_sides(s1, s2, N)
+        assert intersection_sides(s1, s2) == reference_intersection_sides(s1, s2)
 
     def test_wrong_c_over_n_is_caught(self, monkeypatch):
         """On S_{1,2} cap S_{2,1}, c/N = 0 is the only reduction of a zero
@@ -580,14 +571,14 @@ class TestClassifyIntersection:
                     with pytest.raises(NoIntersectionError):
                         intersection_sides(s1, s2)
                     continue
-                sides = intersection_sides(s1, s2, 4)
-                assert tuple(v for _, v in sides) == classify_intersection(s1, s2, 4)
+                sides = intersection_sides(s1, s2)
+                assert tuple(v for _, v in sides) == classify_intersection(s1, s2)
                 for (sa, sb), (lam, v) in zip(((s1, s2), (s2, s1)), sides):
                     if sa.m == 0 or sa.n == 0:
                         assert lam is None
                     else:
                         assert lam == lambda_of_intersection(sa, sb)
-                    assert v == classify_lambda(sa, lam, 4)
+                    assert v == classify_lambda(sa, lam)
 
     def test_small_box_equivalence_and_symmetry(self):
         """Intersection-level conditions agree with the per-side verdicts,
