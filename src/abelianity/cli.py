@@ -335,12 +335,10 @@ def _cmd_poisson(args) -> int:
     s = args.surface
     lam = LambdaPair.from_lambda(args.lam)
     verdict = lattice.classify_lambda(s, lam)
-    if verdict.tag not in (lattice.Verdict.INTEGER_LAMBDA,
-                           lattice.Verdict.CONDITION2,
-                           lattice.Verdict.EXTENDED_CENTER):
+    if not verdict.is_abelian:
         raise ValueError(f"no Poisson structure off abelianity lines "
                          f"(verdict {verdict.tag.value})")
-    params = poisson.params_for_line(s, lam)
+    params = poisson.params_for_line(s, lam)  # refuses a whole surface
     ctx = EllipticContext(N=args.N, q=args.q)
     k, kp = args.kk
     route = poisson.f_series if args.route == "series" else poisson.f_compact
@@ -514,10 +512,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return 0
-    except (ValueError, OSError, lattice.NoIntersectionError,
-            lattice.DegenerateParametrizationError) as exc:
-        # OSError: an --out path that cannot be written (BrokenPipeError,
-        # also an OSError, is handled above)
+    except (ValueError, OSError) as exc:
+        # ValueError: every input error, the lattice's included; OSError: an
+        # --out path that cannot be written (BrokenPipeError is handled above)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except lattice.CrossCheckError as exc:

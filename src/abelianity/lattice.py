@@ -15,15 +15,16 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 
-class NoIntersectionError(Exception):
+# the first three are input errors, so ValueErrors; a CrossCheckError is not
+class NoIntersectionError(ValueError):
     """The two surfaces do not intersect (m=m', n=n' or zero determinant)."""
 
 
-class DegenerateParametrizationError(Exception):
+class DegenerateParametrizationError(ValueError):
     """lambda/m is undefined because the surface has m=0 or n=0."""
 
 
-class ConstructionFailedError(Exception):
+class ConstructionFailedError(ValueError):
     """A realization construction produced no verifiable candidate."""
 
 
@@ -85,17 +86,15 @@ class Surface:
 
 @dataclass(frozen=True)
 class LineParams:
-    """Exact half-nome exponents of a line: s = q^{N e_p}, s* = q^{N e_pstar}."""
+    """Exact half-nome exponents of a line: s = q^{N e_p}, s* = q^{N e_pstar},
+    and c/N = e_p - e_pstar."""
 
     e_p: Fraction
     e_pstar: Fraction
-    c_over_N: Fraction
+    c_over_N: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        p, ps, c = self.e_p, self.e_pstar, self.c_over_N
-        if not _is_difference(c.numerator, c.denominator, p.numerator,
-                              p.denominator, ps.numerator, ps.denominator):
-            raise ValueError("c/N must equal e_p - e_pstar")
+        object.__setattr__(self, "c_over_N", self.e_p - self.e_pstar)
 
     @property
     def algebra_valid(self) -> bool:
@@ -109,21 +108,17 @@ class LineParams:
 
 @dataclass(frozen=True)
 class LambdaPair:
-    """On-surface line coordinate (lambda, lambda*) with lambda + lambda* = 1."""
+    """On-surface line coordinate (lambda, lambda*) with lambda* = 1 - lambda."""
 
     lam: Fraction
-    lam_star: Fraction
+    lam_star: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        lam, lams = self.lam, self.lam_star
-        if not _is_difference(lam.numerator, lam.denominator, 1, 1,
-                              lams.numerator, lams.denominator):
-            raise ValueError("lambda + lambda* must equal 1")
+        object.__setattr__(self, "lam_star", 1 - self.lam)
 
     @classmethod
     def from_lambda(cls, lam) -> "LambdaPair":
-        lam = Fraction(lam)
-        return cls(lam, 1 - lam)
+        return cls(Fraction(lam))
 
     def over(self, m: int, n: int) -> tuple[int, int, int, int]:
         """(a, d, b, d') with lambda/m = a/d and lambda*/n = b/d' in lowest
@@ -167,70 +162,85 @@ class AbelianityVerdict:
         return self.tag is not Verdict.NOT_ABELIAN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)  # a positional True would be failed_condition
 class SuperAbelianityVerdict:
     """Outcome of the localized-extended-center test on S_{m,-m}.
 
     failed_condition indexes the first violated requirement:
       1 = m even, 2 = gcd(m, lambda) != 1 (no Bezout pair),
-      3 = gcd(m, beta0' + 1) != 1.
+      3 = gcd(m, beta0' + 1) != 1; super_abelian is failed_condition is None.
     """
 
-    super_abelian: bool
+    super_abelian: bool = field(init=False)
     failed_condition: int | None = None
     beta0: int | None = None
     beta0_prime: int | None = None
     m_reduced_from: int | None = None  # set when a negative m was mapped to |m|
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "super_abelian", self.failed_condition is None)
 
 
 @dataclass(frozen=True)
 class LambdaFamily:
     """One (d, gamma) family of cross-cancellation solutions on a surface.
 
-    Members are lambda/m = gamma'*ell + gamma/d + k*n/g for k in Z, with the
-    conjugate lambda*/n = gamma'*ell' + gamma/d - k*m/g.  When d | m every
-    member has integer lambda and the family degenerates into the integer
-    classification (integer_degenerate is True).  A member is formed over
-    the common denominator d g as one integer numerator
-    (gamma'*ell*d + gamma) g + k n d and classified on integers.  Construction
-    checks each witness by its defining equation (0 <= ell' < |m/g| for the
-    Bezout pair), then members k = -2..2 (kept in `checked`) in one pass: the
-    verdict core must give (Condition2, (d, gamma, gamma', g)), or, when
-    integer-degenerate, (IntegerLambda, None) and condition 2 must give d.
+    The pair (d, gamma) fixes the family, and construction computes the rest:
+    g = gcd(m, n), gamma' from gamma'*g + gamma*(m+n)/d = 1, the Bezout pair
+    ell*m/g + ell'*n/g = 1 with 0 <= ell' < |m/g|, and integer_degenerate,
+    which is d | m.  Members are lambda/m = gamma'*ell + gamma/d + k*n/g for k
+    in Z, with the conjugate lambda*/n = gamma'*ell' + gamma/d - k*m/g.  When
+    d | m every member has integer lambda and the family degenerates into the
+    integer classification.  A member is formed over the common denominator
+    d g as one integer numerator (gamma'*ell*d + gamma) g + k n d and
+    classified on integers.  Construction checks the input (m, n != 0,
+    d | m+n, 0 < gamma < d, gcd(gamma, d) = 1 and gamma' integral), then
+    members k = -2..2 (kept in `checked`) in one pass: the verdict core must
+    give (Condition2, (d, gamma, gamma', g)), or, when integer-degenerate,
+    (IntegerLambda, None) and condition 2 must give d.  Any failure is a
+    CrossCheckError.
     """
 
     surface: Surface
     d: int
     gamma: int
-    gamma_prime: int
-    g: int
-    ell: int
-    ell_prime: int
-    integer_degenerate: bool
+    gamma_prime: int = field(init=False)
+    g: int = field(init=False)
+    ell: int = field(init=False)
+    ell_prime: int = field(init=False)
+    integer_degenerate: bool = field(init=False)
     checked: tuple[tuple[int, int, Verdict], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s, d, g = self.surface, self.d, self.g
-        m, n, degenerate = s.m, s.n, self.integer_degenerate
-        if g != math.gcd(m, n) or not 0 < self.gamma < d \
-                or math.gcd(self.gamma, d) != 1 or (m + n) % d \
-                or self.gamma_prime * g + self.gamma * ((m + n) // d) != 1 \
-                or self.ell * (m // g) + self.ell_prime * (n // g) != 1 \
-                or not 0 <= self.ell_prime < abs(m // g):
-            raise CrossCheckError(f"family {self}: a witness fails its defining equation")
-        expected = _INTEGER_LAMBDA if degenerate \
-            else (_CONDITION2, (d, self.gamma, self.gamma_prime, g))
+        s, d, gamma = self.surface, self.d, self.gamma
+        m, n = s.m, s.n
+        # the messages name (d, gamma) by hand: repr(self) needs the fields set below
+        if not (m and n and 0 < gamma < d and (m + n) % d == 0 and math.gcd(gamma, d) == 1):
+            raise CrossCheckError(f"family (d, gamma) = ({d}, {gamma}) on {s}: needs "
+                                  "m, n != 0, d | m+n, 0 < gamma < d and gcd(gamma, d) = 1")
+        g = math.gcd(m, n)
+        gamma_prime, rem = divmod(1 - gamma * ((m + n) // d), g)
+        if rem:
+            raise CrossCheckError(f"family (d, gamma) = ({d}, {gamma}) on {s}: "
+                                  "gamma' is not integral")
+        ell, ell_prime = _bezout_min_second(m // g, n // g)
+        degenerate = m % d == 0
+        for key, value in (("gamma_prime", gamma_prime), ("g", g), ("ell", ell),
+                           ("ell_prime", ell_prime), ("integer_degenerate", degenerate)):
+            object.__setattr__(self, key, value)
+        expected = _INTEGER_LAMBDA if degenerate else (_CONDITION2, (d, gamma, gamma_prime, g))
         checked = []
         for k, (num, den, reduced) in enumerate(self._integers(range(-2, 3)), -2):
             # a Condition2 verdict with witness d means condition 2 gave d;
             # the integer-degenerate verdict stops before condition 2
             if degenerate and _condition2_reduced(m, n, *reduced) != d:
-                raise CrossCheckError(f"family {self} member k={k} fails condition 2")
+                raise CrossCheckError(
+                    f"family (d, gamma) = ({d}, {gamma}) on {s} member k={k} fails condition 2")
             verdict = _classify_reduced(s, reduced)
             if verdict != expected:
-                raise CrossCheckError(
-                    f"family {self} member k={k}: verdict {verdict} != {expected}")
+                raise CrossCheckError(f"family (d, gamma) = ({d}, {gamma}) on {s} "
+                                      f"member k={k}: verdict {verdict} != {expected}")
             checked.append((num, den, verdict[0]))
         object.__setattr__(self, "checked", tuple(checked))
 
@@ -279,10 +289,7 @@ def intersect_surfaces(s1: Surface, s2: Surface) -> LineParams | None:
     det = _meet_det(s1, s2)
     if det == 0:
         return None
-    e_p = Fraction(s2.n - s1.n, det)
-    e_pstar = Fraction(s1.m - s2.m, det)
-    c_over_n = Fraction(s2.m + s2.n - s1.m - s1.n, det)
-    return LineParams(e_p, e_pstar, c_over_n)
+    return LineParams(Fraction(s2.n - s1.n, det), Fraction(s1.m - s2.m, det))
 
 
 def lambda_of_intersection(s1: Surface, s2: Surface) -> LambdaPair:
@@ -297,9 +304,7 @@ def lambda_of_intersection(s1: Surface, s2: Surface) -> LambdaPair:
     det = _meet_det(s1, s2)
     if det == 0:
         raise NoIntersectionError(f"{s1} and {s2} do not intersect")
-    lam = Fraction(s1.m * (s1.n - s2.n), det)
-    lam_star = Fraction(s1.n * (s2.m - s1.m), det)
-    return LambdaPair(lam, lam_star)  # checks lam + lam* = 1
+    return LambdaPair(Fraction(s1.m * (s1.n - s2.n), det))
 
 
 def _walk_line(line: LineParams, s1: Surface, s2: Surface, step: tuple[int, int],
@@ -463,7 +468,6 @@ def _families_by_divisor(s: Surface) -> Iterator[list[LambdaFamily]]:
             f"{s}: m+n=0 admits no cross-cancellation line; "
             "only S_{1,-1} and S_{-1,1} are special (extended center)")
     g = math.gcd(m, n)
-    ell, ell_prime = _bezout_min_second(m // g, n // g)
     total = abs(m + n)
 
     def by_divisor():
@@ -475,11 +479,7 @@ def _families_by_divisor(s: Surface) -> Iterator[list[LambdaFamily]]:
                 continue
             # never empty: g | d, and some 0 < gamma < d coprime to d has
             # gamma * quot = 1 mod g (Chinese remainders)
-            yield [LambdaFamily(surface=s, d=d, gamma=gamma,
-                                gamma_prime=(1 - gamma * quot) // g, g=g,
-                                ell=ell, ell_prime=ell_prime,
-                                integer_degenerate=(m % d == 0))
-                   for gamma in range(1, d)
+            yield [LambdaFamily(s, d, gamma) for gamma in range(1, d)
                    if math.gcd(gamma, d) == 1 and (1 - gamma * quot) % g == 0]
     return by_divisor()
 
@@ -487,11 +487,11 @@ def _families_by_divisor(s: Surface) -> Iterator[list[LambdaFamily]]:
 def solve_condition2(s: Surface) -> list[LambdaFamily]:
     """All (d, gamma) families solving the cross-cancellation condition on s.
 
-    For g = gcd(m,n) and Bezout (ell, ell') with ell*m + ell'*n = g, a
-    divisor d > 0 of m+n is admissible when (m+n)/d is coprime with g; each
-    gamma with 0 < gamma < d, gcd(gamma, d) = 1 and g | (1 - gamma (m+n)/d)
-    yields one family (gamma' solving gamma' g + gamma (m+n)/d = 1), whose
-    construction self-checks its members k = -2..2 on integers (`LambdaFamily`).
+    For g = gcd(m,n), a divisor d > 0 of m+n is admissible when (m+n)/d is
+    coprime with g; each gamma with 0 < gamma < d, gcd(gamma, d) = 1 and
+    g | (1 - gamma (m+n)/d) yields one family `LambdaFamily(s, d, gamma)`,
+    which computes its other values and self-checks its members k = -2..2
+    on integers.
 
     Returns [] when no admissible (d, gamma) exists, i.e. no
     cross-cancellation can occur on this surface.
@@ -512,21 +512,18 @@ def super_abelianity_check(m: int, lam: int) -> SuperAbelianityVerdict:
     reduced_from = m if m < 0 else None
     m = abs(m)
     if m % 2 == 0:
-        return SuperAbelianityVerdict(False, failed_condition=1,
-                                      m_reduced_from=reduced_from)
+        return SuperAbelianityVerdict(failed_condition=1, m_reduced_from=reduced_from)
     if math.gcd(m, lam) != 1:
         # no Bezout pair exists; reported, not raised
-        return SuperAbelianityVerdict(False, failed_condition=2,
-                                      m_reduced_from=reduced_from)
+        return SuperAbelianityVerdict(failed_condition=2, m_reduced_from=reduced_from)
     beta0_prime = (-pow(lam, -1, m)) % m  # in 1..m-1, or 0 when m = 1
     beta0 = (1 + beta0_prime * lam) // m
     if beta0 * m - beta0_prime * lam != 1:
         raise CrossCheckError(f"no Bezout pair beta0, beta0' for m={m}, lambda={lam}")
     if math.gcd(m, beta0_prime + 1) != 1:
-        return SuperAbelianityVerdict(False, failed_condition=3,
-                                      beta0=beta0, beta0_prime=beta0_prime,
-                                      m_reduced_from=reduced_from)
-    return SuperAbelianityVerdict(True, beta0=beta0, beta0_prime=beta0_prime,
+        return SuperAbelianityVerdict(failed_condition=3, beta0=beta0,
+                                      beta0_prime=beta0_prime, m_reduced_from=reduced_from)
+    return SuperAbelianityVerdict(beta0=beta0, beta0_prime=beta0_prime,
                                   m_reduced_from=reduced_from)
 
 
@@ -559,7 +556,6 @@ def realize_line_as_intersections(s: Surface, lam: LambdaPair,
     g = math.gcd(dm, dn)
     if dn > 0:
         g = -g
-    e_p, e_pstar = -lam.lam / s.m, -lam.lam_star / s.n
-    line = LineParams(e_p, e_pstar, e_p - e_pstar)
+    line = LineParams(-lam.lam / s.m, -lam.lam_star / s.n)
     return [Surface(m, n) for m, n in
             _walk_line(line, s, s, (dm // g, dn // g), range(1, count + 1))]

@@ -63,9 +63,6 @@ class ExponentMultiset:
         """(key, multiplicity) pairs with exact keys in [0, 1), sorted."""
         return tuple((Fraction(k, self.modulus), c) for k, c in self.residues)
 
-    def is_empty(self) -> bool:
-        return not self.residues
-
 
 def _cycle_remainder(d: int, count: int) -> tuple[range, range]:
     """Multipliers j left of {l a/d : l=1..count} over {-l a/d : l=1..count-1}.
@@ -162,8 +159,8 @@ def exchange_exponents(s: Surface, lam: LambdaPair | None = None) -> ExponentMul
 
 
 def is_abelian(mset: ExponentMultiset) -> bool:
-    """True iff the exchange function is identically 1."""
-    return mset.is_empty()
+    """True iff the exchange function is identically 1: the multiset is empty."""
+    return not mset.residues
 
 
 def cycle_collapses(mset: ExponentMultiset, N: int) -> bool:

@@ -243,7 +243,8 @@ def f_kk(ctx: EllipticContext, params: PoissonParams, k: int, kp: int,
 
 
 def params_for_line(surface: Surface, lam: LambdaPair) -> PoissonParams:
-    """Poisson parameters for an abelianity line, preferring type (a)."""
+    """Poisson parameters for an abelianity line, preferring type (a); a whole
+    surface has no lambda coordinate, and both types refuse it (DomainError)."""
     if lam.lam.denominator == 1 and lam.lam not in (0, 1):
         return PoissonParamsA.from_line(surface, int(lam.lam))
     return PoissonParamsB.from_line(surface, lam.lam)

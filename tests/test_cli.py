@@ -594,6 +594,20 @@ def test_exact_commands_bytes_unchanged(capsys):
 
 
 class TestPoissonCommand:
+    @pytest.mark.parametrize("surface,lam", [("0,3", "1/2"), ("0,3", "2"), ("-4,0", "0")])
+    def test_whole_surface_has_no_lambda_coordinate(self, capsys, surface, lam):
+        """A whole surface is abelian, so it passes the abelianity gate, and
+        is refused (exit 2) because it has no lambda coordinate."""
+        assert main(["poisson", f"--surface={surface}", f"--lambda={lam}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: S_{{{surface}}} has no lambda coordinate\n"
+
+    def test_off_line_is_refused(self, capsys):
+        assert main(["poisson", "--surface=2,5", "--lambda=1/7"]) == 2
+        assert capsys.readouterr().err == \
+            "error: no Poisson structure off abelianity lines (verdict NotAbelian)\n"
+
     def test_csv_shape(self, capsys):
         rc, out = run(capsys, "poisson", "--surface", "1,2", "--lambda", "1/3",
                       "--grid", "0.8,1.25,6")
@@ -975,6 +989,22 @@ class TestExitCodes:
             rc, out = run(capsys, "verify-y", "--surface", "1,2", "--lambda",
                           "1/3", f"--grid=0.8,1.25,{count}")
             assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("error,code", [
+        (lattice.NoIntersectionError, 2), (lattice.DegenerateParametrizationError, 2),
+        (lattice.ConstructionFailedError, 2), (lattice.CrossCheckError, 1)])
+    def test_lattice_error_exit_codes(self, capsys, monkeypatch, error, code):
+        """The lattice's input errors are ValueErrors, so `main` makes each
+        exit 2 as it does every input error; a CrossCheckError is a
+        verification mismatch, exit 1, and stays outside ValueError."""
+        assert issubclass(error, ValueError) == (code == 2)
+
+        def fail(*args):
+            raise error("raised by the test")
+
+        monkeypatch.setattr(lattice, "classify_lambda", fail)
+        assert main(["classify", "--surface=1,2", "--lambda=1/3"]) == code
+        assert "raised by the test" in capsys.readouterr().err
 
     def test_surface_origin(self, capsys):
         rc, _ = run(capsys, "classify", "--surface", "0,0", "--lambda", "1/3")

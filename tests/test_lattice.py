@@ -487,12 +487,18 @@ class TestIntegerLayer:
         assert classify_lambda(s, lam) == reference_classify_lambda(s, lam)
 
     def test_invariants_still_checked(self):
+        """c/N = e_p - e_pstar and lambda* = 1 - lambda hold by construction:
+        each is computed, and passing it is a TypeError."""
+        assert LineParams(F(1, 3), F(-1, 3)).c_over_N == F(2, 3)
+        assert LambdaPair(F(-5, 6)).lam_star == F(11, 6)
+        assert LambdaPair(F(-5, 6)) == LambdaPair.from_lambda("-5/6")
+        with pytest.raises(TypeError):
+            LineParams(F(1, 3), F(-1, 3), F(2, 3))
+        with pytest.raises(TypeError):
+            LambdaPair(F(1, 2), F(1, 2))
         with pytest.raises(ValueError):
-            LineParams(F(1, 3), F(-1, 3), F(1, 3))
-        with pytest.raises(ValueError):
-            LambdaPair(F(1, 2), F(1, 3))
-        assert LineParams(F(1, 3), F(-1, 3), F(2, 3)).c_over_N == F(2, 3)
-        assert LambdaPair(F(-5, 6), F(11, 6)).lam_star == F(11, 6)
+            dataclasses.replace(LambdaPair(F(1, 2)), lam_star=F(1, 2))
+        assert dataclasses.replace(LineParams(F(1, 3), F(-1, 3)), e_p=F(1)).c_over_N == F(4, 3)
 
     def test_lambda_required_off_whole_surfaces(self):
         assert classify_lambda(Surface(0, 3), None).tag is Verdict.WHOLE_SURFACE
@@ -710,21 +716,20 @@ class TestSolveCondition2:
                     f.gamma_prime * f.ell_prime + F(f.gamma, f.d) - k * F(m, f.g)
 
     @pytest.mark.parametrize("mn", [(2, 1), (1, 2), (5, 4), (2, 4)])
-    def test_wrong_gamma_prime_is_caught(self, monkeypatch, mn):
-        """A family built with gamma' off by one fails its self-check.  On
-        S_{2,1} ell = 0, so its members are unchanged and only a witness
-        check can see the fault: the defining equation of gamma'."""
-        real = lattice.LambdaFamily
-
-        def wrong(**fields):
-            fields["gamma_prime"] += 1
-            return real(**fields)
-
-        monkeypatch.setattr(lattice, "LambdaFamily", wrong)
-        with pytest.raises(CrossCheckError) as info:
-            solve_condition2(Surface(*mn))
-        if mn == (2, 1):
-            assert "defining equation" in str(info.value)
+    def test_wrong_gamma_prime_is_caught(self, mn):
+        """Each computed value of every family solves its defining equation:
+        g = gcd(m, n), gamma'*g + gamma*(m+n)/d = 1, ell*m/g + ell'*n/g = 1
+        with 0 <= ell' < |m/g|, and integer_degenerate is d | m.  On S_{2,1}
+        ell = 0, so the members do not depend on gamma' and only this test
+        would see a wrong one."""
+        s = Surface(*mn)
+        m, n = mn
+        for fam in solve_condition2(s):
+            assert fam.g == math.gcd(m, n)
+            assert fam.gamma_prime * fam.g + fam.gamma * ((m + n) // fam.d) == 1
+            assert fam.ell * (m // fam.g) + fam.ell_prime * (n // fam.g) == 1
+            assert 0 <= fam.ell_prime < abs(m // fam.g)
+            assert fam.integer_degenerate == (m % fam.d == 0)
 
     @pytest.mark.parametrize("mn", [(2, 1), (1, 2), (5, 4), (2, 4)])
     @pytest.mark.parametrize("name,delta", [("d", 1), ("d", -1), ("gamma", 1),
@@ -733,16 +738,47 @@ class TestSolveCondition2:
                                             ("ell", -1), ("ell_prime", 1),
                                             ("ell_prime", -1)])
     def test_perturbed_family_is_caught(self, mn, name, delta):
-        """Every family of the surface, rebuilt by hand with d, gamma, g, ell
-        or ell' off by one or gamma' off by two, fails its self-check with a
-        CrossCheckError, also where g - 1 = 0, and on the integer-degenerate
-        family of S_{2,4}, whose members k = -2..2 are true members at other
-        k when g or gamma' is wrong.  No member depends on ell', and a wrong
-        ell can leave the members k = -2..2 true members at other k, so only
-        the Bezout equation and the range of ell' see those two."""
-        for fam in solve_condition2(Surface(*mn)):
-            with pytest.raises(CrossCheckError):
-                dataclasses.replace(fam, **{name: getattr(fam, name) + delta})
+        """A family is its (surface, d, gamma).  With d or gamma off by one it
+        is a CrossCheckError or another family of the surface.  The computed
+        g, gamma', ell and ell' cannot be perturbed at all: passing one is a
+        TypeError, and `dataclasses.replace` of one is a ValueError."""
+        s = Surface(*mn)
+        families = solve_condition2(s)
+        for fam in families:
+            wrong = getattr(fam, name) + delta
+            if name in ("d", "gamma"):
+                try:
+                    other = dataclasses.replace(fam, **{name: wrong})
+                except CrossCheckError:
+                    continue
+                assert other in families and other != fam
+                continue
+            with pytest.raises(TypeError):
+                LambdaFamily(s, fam.d, fam.gamma, **{name: wrong})
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(fam, **{name: wrong})
+
+    def test_families_are_closed_over_box_6(self):
+        """Every family of every surface in box 6 is `LambdaFamily(s, d,
+        gamma)` of its own d and gamma, and every other (d, gamma) with
+        d | m+n, 1 <= gamma < d, raises CrossCheckError, on a whole surface
+        (which has no families) too."""
+        for m in range(-6, 7):
+            for n in range(-6, 7):
+                if (m, n) == (0, 0):
+                    continue
+                s = Surface(m, n)
+                families = {(fam.d, fam.gamma): fam for fam in
+                            (solve_condition2(s) if m and n and m + n else [])}
+                for fam in families.values():
+                    assert LambdaFamily(s, fam.d, fam.gamma) == fam
+                for d in range(2, abs(m + n) + 1):
+                    if (m + n) % d:
+                        continue
+                    for gamma in range(1, d):
+                        if (d, gamma) not in families:
+                            with pytest.raises(CrossCheckError):
+                                LambdaFamily(s, d, gamma)
 
     def test_degenerate_condition2_retest_is_live(self, monkeypatch):
         """Members of an integer-degenerate family get IntegerLambda before
@@ -758,13 +794,16 @@ class TestSolveCondition2:
 
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_extended_center_family_is_caught(self, degenerate):
-        """On S_{1,-1} the family d = 2, gamma = 1, gamma' = 1, g = 1, ell = 1,
-        ell' = 0 solves every witness equation (m + n = 0) and each of its
+        """On S_{1,-1} the family d = 2, gamma = 1 passes every input check
+        (m + n = 0; gamma' = 1, g = 1, ell = 1, ell' = 0) and each of its
         members satisfies condition 2 with d = 2; only the surface
-        precedence of the verdict core (ExtendedCenter) refuses it."""
+        precedence of the verdict core (ExtendedCenter) refuses it.  Its
+        integer_degenerate (False) is computed: passing either value is a
+        TypeError."""
         with pytest.raises(CrossCheckError, match="EXTENDED_CENTER"):
-            LambdaFamily(surface=Surface(1, -1), d=2, gamma=1, gamma_prime=1, g=1,
-                         ell=1, ell_prime=0, integer_degenerate=degenerate)
+            LambdaFamily(Surface(1, -1), 2, 1)
+        with pytest.raises(TypeError):
+            LambdaFamily(Surface(1, -1), 2, 1, integer_degenerate=degenerate)
 
 
 class TestSuperAbelianity:
@@ -795,8 +834,20 @@ class TestSuperAbelianity:
         for m in (1, -1):
             for lam in range(-50, 51):
                 assert super_abelianity_check(m, lam) == SuperAbelianityVerdict(
-                    True, failed_condition=None, beta0=1, beta0_prime=0,
+                    failed_condition=None, beta0=1, beta0_prime=0,
                     m_reduced_from=None if m == 1 else -1)
+
+    def test_super_abelian_is_computed(self):
+        """super_abelian is failed_condition is None, the first field, so
+        `dataclasses.asdict` keeps its key order; passing it is a TypeError."""
+        assert SuperAbelianityVerdict().super_abelian
+        assert not SuperAbelianityVerdict(failed_condition=2).super_abelian
+        assert list(dataclasses.asdict(super_abelianity_check(9, 4))) == [
+            "super_abelian", "failed_condition", "beta0", "beta0_prime", "m_reduced_from"]
+        with pytest.raises(TypeError):
+            SuperAbelianityVerdict(True)
+        with pytest.raises(TypeError):
+            SuperAbelianityVerdict(super_abelian=False, failed_condition=1)
 
     def test_canonical_bezout_range(self):
         for m in range(3, 16, 2):
