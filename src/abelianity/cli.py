@@ -214,18 +214,20 @@ def _cmd_enumerate_lines(args) -> int:
     # same keys in the same order, ", " and ": " separators.  One write per
     # divisor d, the first with the head, so a mismatch cuts it after a divisor
     text = f'{{"surface": {emit(_surface_dict(s))}, "N": {args.N}, "families": ['
+    heads = [(k, f'{{"k": {k}, "lambda": "') for k in ks]
+    member, tags = lattice.LambdaFamily.member, _TAG_JSON
     with _output(args.out) as write:
         for families in divisors:
             fams = []
             for fam in families:
                 members = []
-                for k in ks:
-                    num, den, tag = fam.member(k)
+                for k, head in heads:
+                    num, den, tag = member(fam, k)
                     # lambda = num/den and lambda* = (den - num)/den are both in
                     # lowest terms, so they share the "/den" (none when den == 1)
                     over = "" if den == 1 else f"/{den}"
-                    members.append(f'{{"k": {k}, "lambda": "{num}{over}", "lambda_star": '
-                                   f'"{den - num}{over}", "tag": {_TAG_JSON[tag._value_]}}}')
+                    members.append(f'{head}{num}{over}", "lambda_star": '
+                                   f'"{den - num}{over}", "tag": {tags[tag._value_]}}}')
                 fams.append(f'{{"d": {fam.d}, "gamma": {fam.gamma}, "gamma_prime": '
                             f'{fam.gamma_prime}, "g": {fam.g}, "ell": {fam.ell}, '
                             f'"ell_prime": {fam.ell_prime}, "integer_degenerate": '

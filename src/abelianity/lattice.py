@@ -108,13 +108,21 @@ class LineParams:
 
 @dataclass(frozen=True)
 class LambdaPair:
-    """On-surface line coordinate (lambda, lambda*) with lambda* = 1 - lambda."""
+    """On-surface line coordinate (lambda, lambda*) with lambda* = 1 - lambda.
+    lam is an int or a Fraction, stored as a Fraction; `from_lambda` converts
+    anything `Fraction` takes."""
 
     lam: Fraction
     lam_star: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam_star", 1 - self.lam)
+        lam = self.lam
+        if not isinstance(lam, Fraction):
+            if not isinstance(lam, int):
+                raise ValueError(f"LambdaPair takes an int or a Fraction, not {lam!r}; "
+                                 "LambdaPair.from_lambda converts other values")
+            object.__setattr__(self, "lam", lam := Fraction(lam))
+        object.__setattr__(self, "lam_star", 1 - lam)
 
     @classmethod
     def from_lambda(cls, lam) -> "LambdaPair":
@@ -193,12 +201,15 @@ class LambdaFamily:
     d | m every member has integer lambda and the family degenerates into the
     integer classification.  A member is formed over the common denominator
     d g as one integer numerator (gamma'*ell*d + gamma) g + k n d and
-    classified on integers.  Construction checks the input (m, n != 0,
-    d | m+n, 0 < gamma < d, gcd(gamma, d) = 1 and gamma' integral), then
-    members k = -2..2 (kept in `checked`) in one pass: the verdict core must
-    give (Condition2, (d, gamma, gamma', g)), or, when integer-degenerate,
-    (IntegerLambda, None) and condition 2 must give d.  Any failure is a
-    CrossCheckError.
+    classified on integers.  One integer pass, `_divisor_families`, forms
+    and checks the families of a divisor d, with g and the Bezout pair formed
+    once for d: construction runs it on its one gamma, `solve_condition2` on
+    all of d's gammas, building the instances without __init__.  It checks
+    the input (m, n != 0, d | m+n, 0 < gamma < d, gcd(gamma, d) = 1 and
+    gamma' integral), then members k = -2..2 (kept in `checked`): the verdict
+    core must give (Condition2, (d, gamma, gamma', g)), or, when integer-
+    degenerate, (IntegerLambda, None) and condition 2 must give d.  Any
+    failure is a CrossCheckError naming the family, and k for a member.
     """
 
     surface: Surface
@@ -213,52 +224,12 @@ class LambdaFamily:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s, d, gamma = self.surface, self.d, self.gamma
-        m, n = s.m, s.n
-        # the messages name (d, gamma) by hand: repr(self) needs the fields set below
-        if not (m and n and 0 < gamma < d and (m + n) % d == 0 and math.gcd(gamma, d) == 1):
-            raise CrossCheckError(f"family (d, gamma) = ({d}, {gamma}) on {s}: needs "
-                                  "m, n != 0, d | m+n, 0 < gamma < d and gcd(gamma, d) = 1")
-        g = math.gcd(m, n)
-        gamma_prime, rem = divmod(1 - gamma * ((m + n) // d), g)
-        if rem:
-            raise CrossCheckError(f"family (d, gamma) = ({d}, {gamma}) on {s}: "
-                                  "gamma' is not integral")
-        ell, ell_prime = _bezout_min_second(m // g, n // g)
-        degenerate = m % d == 0
-        for key, value in (("gamma_prime", gamma_prime), ("g", g), ("ell", ell),
-                           ("ell_prime", ell_prime), ("integer_degenerate", degenerate)):
-            object.__setattr__(self, key, value)
-        expected = _INTEGER_LAMBDA if degenerate else (_CONDITION2, (d, gamma, gamma_prime, g))
-        checked = []
-        for k, (num, den, reduced) in enumerate(self._integers(range(-2, 3)), -2):
-            # a Condition2 verdict with witness d means condition 2 gave d;
-            # the integer-degenerate verdict stops before condition 2
-            if degenerate and _condition2_reduced(m, n, *reduced) != d:
-                raise CrossCheckError(
-                    f"family (d, gamma) = ({d}, {gamma}) on {s} member k={k} fails condition 2")
-            verdict = _classify_reduced(s, reduced)
-            if verdict != expected:
-                raise CrossCheckError(f"family (d, gamma) = ({d}, {gamma}) on {s} "
-                                      f"member k={k}: verdict {verdict} != {expected}")
-            checked.append((num, den, verdict[0]))
-        object.__setattr__(self, "checked", tuple(checked))
+        self.__dict__.update(_divisor_families(self.surface, self.d, [self.gamma])[0])
 
     def _integers(self, ks: Iterable[int]) -> list[tuple[int, int, tuple]]:
-        """Members k in ks as (num, den, (a, d, b, d')): lambda = num/den, lambda/m
-        = a/d, lambda*/n = b/d', lowest terms, positive denominators; gcd(m a, d) =
-        gcd(m, d), gcd(den - num, den n) = gcd(den - num, n).  d g, the step n d
-        and the k = 0 numerator are formed once per call."""
-        m, n, d0, g = self.surface.m, self.surface.n, self.d, self.g
-        dg, step, base = d0 * g, n * d0, (self.gamma_prime * self.ell * d0 + self.gamma) * g
-        out = []
-        for k in ks:
-            over_m = base + k * step
-            a, d = over_m // (r := math.gcd(over_m, dg)), dg // r
-            num, den = m * a // (r := math.gcd(m, d)), d // r
-            r = math.gcd(den - num, n) if n > 0 else -math.gcd(den - num, n)
-            out.append((num, den, (a, d, (den - num) // r, den * n // r)))
-        return out
+        """Members k in ks as `_member_integers` gives them."""
+        m, n = self.surface.m, self.surface.n
+        return _member_integers(m, n, self.d, self.g, self.ell, self.gamma, self.gamma_prime, ks)
 
     def member(self, k: int) -> tuple[int, int, Verdict]:
         """(numerator, denominator, tag) of member k, lambda in lowest terms;
@@ -267,6 +238,64 @@ class LambdaFamily:
             return self.checked[k + 2]
         (num, den, reduced), = self._integers((k,))
         return num, den, _classify_reduced(self.surface, reduced)[0]
+
+
+def _member_integers(m: int, n: int, d0: int, g: int, ell: int, gamma: int, gamma_prime: int,
+                     ks: Iterable[int]) -> list[tuple[int, int, tuple]]:
+    """Members k in ks of the family (d0, gamma) on S_{m,n} as (num, den, (a, d,
+    b, d')): lambda = num/den, lambda/m = a/d, lambda*/n = b/d', lowest terms,
+    positive denominators.  Member k is (gamma'*ell*d0 + gamma) g + k n d0 over
+    d0 g; gcd(m a, d) = gcd(m, d), gcd(den - num, den n) = gcd(den - num, n)."""
+    dg, step, gcd = d0 * g, n * d0, math.gcd
+    base = (gamma_prime * ell * d0 + gamma) * g
+    out = []
+    for k in ks:
+        over_m = base + k * step
+        a, d = over_m // (r := gcd(over_m, dg)), dg // r
+        num, den = m * a // (r := gcd(m, d)), d // r
+        r = gcd(den - num, n) if n > 0 else -gcd(den - num, n)
+        out.append((num, den, (a, d, (den - num) // r, den * n // r)))
+    return out
+
+
+def _family_error(s: Surface, d: int, gamma: int, why: str) -> CrossCheckError:
+    return CrossCheckError(f"family (d, gamma) = ({d}, {gamma}) on {s}{why}")
+
+
+def _divisor_families(s: Surface, d: int, gammas: list[int]) -> list[dict]:
+    """The families (d, gamma) on s for gamma in gammas (not empty), each as
+    the values of its `LambdaFamily` fields in field order, checked as the
+    class docstring says; g and the Bezout pair are formed once."""
+    m, n = s.m, s.n
+    if not (m and n and d > 1 and (m + n) % d == 0):
+        raise _family_error(s, d, gammas[0], ": needs m, n != 0 and d | m+n")
+    g, quot = math.gcd(m, n), (m + n) // d
+    ell, ell_prime = _bezout_min_second(m // g, n // g)
+    degenerate = m % d == 0
+    classify, condition2 = _classify_reduced, _condition2_reduced
+    out = []
+    for gamma in gammas:
+        if not (0 < gamma < d and math.gcd(gamma, d) == 1):
+            raise _family_error(s, d, gamma, ": needs 0 < gamma < d and gcd(gamma, d) = 1")
+        gamma_prime, rem = divmod(1 - gamma * quot, g)
+        if rem:
+            raise _family_error(s, d, gamma, ": gamma' is not integral")
+        expected = _INTEGER_LAMBDA if degenerate else (_CONDITION2, (d, gamma, gamma_prime, g))
+        checked = []
+        for k, (num, den, reduced) in enumerate(
+                _member_integers(m, n, d, g, ell, gamma, gamma_prime, range(-2, 3)), -2):
+            # a Condition2 verdict with witness d means condition 2 gave d;
+            # the integer-degenerate verdict stops before condition 2
+            if degenerate and condition2(m, n, *reduced) != d:
+                raise _family_error(s, d, gamma, f" member k={k} fails condition 2")
+            verdict = classify(s, reduced)
+            if verdict != expected:
+                raise _family_error(s, d, gamma, f" member k={k}: verdict {verdict} != {expected}")
+            checked.append((num, den, verdict[0]))
+        out.append({"surface": s, "d": d, "gamma": gamma, "gamma_prime": gamma_prime, "g": g,
+                    "ell": ell, "ell_prime": ell_prime, "integer_degenerate": degenerate,
+                    "checked": tuple(checked)})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +498,7 @@ def _families_by_divisor(s: Surface) -> Iterator[list[LambdaFamily]]:
             "only S_{1,-1} and S_{-1,1} are special (extended center)")
     g = math.gcd(m, n)
     total = abs(m + n)
+    new = object.__new__
 
     def by_divisor():
         for d in range(2, total + 1):
@@ -479,8 +509,13 @@ def _families_by_divisor(s: Surface) -> Iterator[list[LambdaFamily]]:
                 continue
             # never empty: g | d, and some 0 < gamma < d coprime to d has
             # gamma * quot = 1 mod g (Chinese remainders)
-            yield [LambdaFamily(s, d, gamma) for gamma in range(1, d)
-                   if math.gcd(gamma, d) == 1 and (1 - gamma * quot) % g == 0]
+            gammas = [gamma for gamma in range(1, d)
+                      if math.gcd(gamma, d) == 1 and (1 - gamma * quot) % g == 0]
+            families = []
+            for values in _divisor_families(s, d, gammas):  # checked there: no __init__
+                families.append(fam := new(LambdaFamily))
+                fam.__dict__.update(values)
+            yield families
     return by_divisor()
 
 
@@ -489,9 +524,9 @@ def solve_condition2(s: Surface) -> list[LambdaFamily]:
 
     For g = gcd(m,n), a divisor d > 0 of m+n is admissible when (m+n)/d is
     coprime with g; each gamma with 0 < gamma < d, gcd(gamma, d) = 1 and
-    g | (1 - gamma (m+n)/d) yields one family `LambdaFamily(s, d, gamma)`,
-    which computes its other values and self-checks its members k = -2..2
-    on integers.
+    g | (1 - gamma (m+n)/d) yields one family equal to `LambdaFamily(s, d,
+    gamma)`, with its other values computed and its members k = -2..2
+    self-checked on integers in one pass per divisor.
 
     Returns [] when no admissible (d, gamma) exists, i.e. no
     cross-cancellation can occur on this surface.

@@ -26,6 +26,14 @@ from reference_family import reference_enumerate_document, reference_lambda_pair
 # sha256 of the `scan --box=6` output, recorded before the exact layer moved
 # from Fraction to integer residues; the sweep must stay byte-identical
 SCAN_BOX6_SHA256 = "641505d737a2072758bcb86026da36794f78c8d64d69dbded21471c7f316580c"
+# sha256 of `enumerate-lines --k-min=-6 --k-max=6` on two surfaces of the
+# benchmark's families pool, recorded before each divisor's families were
+# formed in one pass; k = -6..6 also reads the members beyond the checked ones
+ENUMERATE_K6_SHA256 = {
+    "7,233": "80cfc0aa6687128d20f2e32d16794af9352617a8c3014a89b23d0b5b514dcf27",
+    "-1,721": "714ff13741caa8736ad9be583940ffdd309e7833682b5a4246cf62ea818d21eb",
+}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -219,6 +227,40 @@ class TestEnumerateLines:
             rc, _ = run(capsys, "enumerate-lines", f"--surface={surface}", *extra)
             assert rc == 0
             assert len(calls) == per_family * families
+
+    @pytest.mark.parametrize("surface", sorted(ENUMERATE_K6_SHA256))
+    def test_wide_k_range_bytes_unchanged(self, capsys, surface):
+        rc, out = run(capsys, "enumerate-lines", f"--surface={surface}",
+                      "--k-min=-6", "--k-max=6")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_K6_SHA256[surface]
+
+    def test_recorded_family_digests(self, capsys):
+        """The output of every surface of the benchmark's families pool
+        matches the digest that perfbench/expected.json records for it."""
+        recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["families"]
+        assert len(recorded) == 24
+        mismatched = []
+        for surface, rec in recorded.items():
+            rc, out = run(capsys, "enumerate-lines", f"--surface={surface}", "--N=3")
+            if rc != 0 or hashlib.sha256(out.encode()).hexdigest() != rec["sha256"]:
+                mismatched.append((surface, rc))
+        assert not mismatched
+
+    def test_every_box_12_surface_checks_its_families(self, capsys):
+        """Every surface with |m|, |n| <= 12 and m, n, m+n != 0 exits 0 at k =
+        -6..6: each family checks its members k = -2..2 when it is built, and
+        the members beyond them are classified too."""
+        failed = []
+        runs = 0
+        for m in [v for v in range(-12, 13) if v]:
+            for n in [v for v in range(-12, 13) if v and v != -m]:
+                rc = main(["enumerate-lines", f"--surface={m},{n}", "--k-min=-6", "--k-max=6"])
+                err = capsys.readouterr().err
+                runs += 1
+                if rc != 0:
+                    failed.append((m, n, rc, err))
+        assert runs == 552 and not failed
 
     def test_reversed_k_range_is_exit_2(self, capsys):
         rc = main(["enumerate-lines", "--surface=2,2", "--k-min=3", "--k-max=1"])

@@ -7,6 +7,7 @@ lattice scans, permutation matching, raw predicate enumeration).
 
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -500,6 +501,34 @@ class TestIntegerLayer:
             dataclasses.replace(LambdaPair(F(1, 2)), lam_star=F(1, 2))
         assert dataclasses.replace(LineParams(F(1, 3), F(-1, 3)), e_p=F(1)).c_over_N == F(4, 3)
 
+    def test_lambda_pair_stores_an_int_as_a_fraction(self):
+        pair = LambdaPair(3)
+        assert type(pair.lam) is F and type(pair.lam_star) is F
+        assert pair == LambdaPair(F(3)) and pair.lam_star == -2
+        assert classify_lambda(Surface(1, 2), pair) == \
+            classify_lambda(Surface(1, 2), LambdaPair(F(3)))
+
+    @pytest.mark.parametrize("lam,convertible", [(0.5, True), ("1/2", True),
+                                                 (Decimal("0.5"), True), (1j, False),
+                                                 (None, False)])
+    def test_lambda_pair_refuses_other_types(self, lam, convertible):
+        """Any type but int and Fraction is a ValueError naming the converting
+        constructor, and what that converts classifies like 1/2."""
+        with pytest.raises(ValueError, match=r"LambdaPair\.from_lambda"):
+            LambdaPair(lam)
+        if convertible:
+            pair = LambdaPair.from_lambda(lam)
+            assert pair == LambdaPair(F(1, 2))
+            assert classify_lambda(Surface(1, 2), pair).tag is Verdict.NOT_ABELIAN
+
+    def test_algebra_valid_needs_both_exponents_positive(self):
+        """|s| < 1 and |s*| < 1 need e_p > 0 and e_pstar > 0 strictly: a zero
+        exponent is |p| = 1 or |p*| = 1."""
+        assert LineParams(F(1, 2), F(1, 3)).algebra_valid
+        assert not LineParams(F(0), F(1, 2)).algebra_valid
+        assert not LineParams(F(1, 2), F(0)).algebra_valid
+        assert not LineParams(F(-1, 2), F(1, 2)).algebra_valid
+
     def test_lambda_required_off_whole_surfaces(self):
         assert classify_lambda(Surface(0, 3), None).tag is Verdict.WHOLE_SURFACE
         with pytest.raises(DegenerateParametrizationError):
@@ -779,6 +808,44 @@ class TestSolveCondition2:
                         if (d, gamma) not in families:
                             with pytest.raises(CrossCheckError):
                                 LambdaFamily(s, d, gamma)
+
+    @pytest.mark.parametrize("mn", [(1, 239), (-7, -233), (13, 707), (1, 2519)])
+    def test_divisor_pass_gives_the_constructed_families(self, mn):
+        """`solve_condition2` builds each family from one pass over its
+        divisor's gammas, without __init__; each equals `LambdaFamily(s, d,
+        gamma)`, which runs the pass on its one gamma, field for field in
+        field order, `checked` (compare=False) included."""
+        s = Surface(*mn)
+        families = solve_condition2(s)
+        assert len(families) == abs(s.m + s.n) - 1  # gcd(m, n) = 1
+        for fam in families:
+            built = LambdaFamily(s, fam.d, fam.gamma)
+            assert type(fam) is LambdaFamily and fam == built and fam.checked == built.checked
+            assert list(vars(fam).items()) == list(vars(built).items())
+
+    def test_wrong_verdict_mid_divisor_names_the_family(self, monkeypatch):
+        """S_{5,7} has the divisors 2, 3, 4, 6 and 12, and divisor 12 the
+        families gamma = 1, 5, 7, 11.  A verdict core wrong only for member
+        k = 0 of (12, 7) stops the pass there with the family and k named;
+        the divisors before 12 come out whole."""
+        real = lattice._classify_reduced
+        calls = []
+
+        def wrong(s, reduced):
+            verdict = real(s, reduced)
+            if verdict[1] and verdict[1][:2] == (12, 7):
+                calls.append(reduced)
+                if len(calls) == 3:  # members k = -2, -1, 0
+                    return Verdict.NOT_ABELIAN, None
+            return verdict
+
+        monkeypatch.setattr(lattice, "_classify_reduced", wrong)
+        groups = lattice._families_by_divisor(Surface(5, 7))
+        assert [next(groups)[0].d for _ in range(4)] == [2, 3, 4, 6]
+        with pytest.raises(CrossCheckError, match=r"^family \(d, gamma\) = \(12, 7\) "
+                                                  r"on S_\{5,7\} member k=0: verdict "):
+            next(groups)
+        assert len(calls) == 3
 
     def test_degenerate_condition2_retest_is_live(self, monkeypatch):
         """Members of an integer-degenerate family get IntegerLambda before
