@@ -45,7 +45,6 @@ from .elliptic import (
     centrality_ratio,
     exchange_plan,
     theta,
-    ufunc,
     ufunc_a,
     verification_grid,
     yfunc,

@@ -276,11 +276,6 @@ def ufunc_a(ctx: EllipticContext, a: float, z: complex) -> complex:
     return dual.scaled(ShiftPlan(dual, 1, [0], [])(z))
 
 
-def ufunc(ctx: EllipticContext, z: complex) -> complex:
-    """The structure-function block U(z), nome q^{2N}; raises like `ufunc_a`."""
-    return ShiftPlan(_DualNome.for_u(ctx), 1, [0], [])(z)
-
-
 class ShiftPlan:
     """Exchange product prod_num U(q^{N t} x) / prod_den U(q^{N t} x) in
     the dual nome `dual`; a one-factor plan is U itself.

@@ -347,7 +347,9 @@ def _walk_line(line: LineParams, s1: Surface, s2: Surface, step: tuple[int, int]
     out: list[tuple[int, int]] = []
     for t in t_values:
         wm, wn = s2.m + t * dm, s2.n + t * dn
-        om, on = (s2.m, s2.n) if wm == s1.m and wn == s1.n else (s1.m, s1.n)
+        # e_pstar != 0 means s1.m != s2.m, so s1 is the one surface of the line
+        # with m = s1.m; a w off the line fails the checks below
+        om, on = (s2.m, s2.n) if wm == s1.m else (s1.m, s1.n)
         det = wm * on - om * wn  # `_meet_det(o, w)` when m and n both differ
         if wm == om or wn == on or det == 0 or (wn - on) * qp != pp * det \
                 or (om - wm) * qs != ps * det or (wm + wn - om - on) * qc != pc * det:

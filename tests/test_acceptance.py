@@ -36,11 +36,11 @@ from abelianity import (
     super_abelianity_check,
     surfaces_through_line,
     theta,
-    ufunc,
     verification_grid,
     yfunc,
 )
 from reference_family import reference_lambda_pair
+from reference_u import ufunc
 
 BOX = 6
 N = 3

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -349,6 +350,17 @@ class TestEnumerateLines:
         assert rc == 0
 
 
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's input generator, loaded from its
+    path; it registers in sys.modules because it defines dataclasses."""
+    if "perfbench_gen" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                      ROOT / "perfbench" / "gen.py")
+        module = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_gen"]
+
+
 def reference_through_document(s1: Surface, s2: Surface, ts) -> dict:
     """The `surfaces-through` document over t in ts as a dict tree, from
     `intersect_surfaces` and `surfaces_through_line`; `json.dumps` of it is
@@ -377,6 +389,19 @@ class TestSurfacesThrough:
         expected = reference_through_document(Surface(*s1), Surface(*s2),
                                               range(t_min, t_max + 1))
         assert_same_text(out, json.dumps(expected) + "\n")
+
+    @pytest.mark.parametrize("s1,s2", [((3, 6), (2, 5)), ((1, 2), (2, 1)),
+                                       ((-5, 4), (3, -1))])
+    def test_walk_matches_the_benchmark_generator(self, capsys, s1, s2):
+        """The +-1000 walk of a box line equals the document that
+        perfbench/gen.py builds from the lattice line itself."""
+        gen = perfbench_gen()
+        assert any((a, b) == (s1, s2) for lines in gen.box_lines(gen.LINE_BOX).values()
+                   for a, b, _ in lines), "not a box line"
+        rc, out = run(capsys, "surfaces-through", f"--s1={s1[0]},{s1[1]}",
+                      f"--s2={s2[0]},{s2[1]}", "--t-min=-1000", "--t-max=1000")
+        assert rc == 0
+        assert json.loads(out) == gen.through_surfaces(s1, s2, -1000, 1000)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
@@ -471,6 +496,22 @@ class TestVerify:
         rc, out = run(capsys, "verify-y", "--surface", "0,3", "--q", "0.6")
         assert rc == 0
         assert json.loads(out)["verdict"]["tag"] == "WholeSurface"
+
+    def test_whole_surfaces_at_sweep_scale(self, capsys):
+        """S_{0,k} and S_{k,0}, 0 < |k| <= 12, at N = 2, 3, 4 and q = 1e-4,
+        0.6, 0.95: each of the 432 commands exits 0, oracle-abelian and
+        numerically consistent."""
+        argvs = [["verify-y", f"--surface={m},{n}", f"--N={N}", f"--q={q}"]
+                 for k in range(-12, 13) if k for m, n in ((0, k), (k, 0))
+                 for N in (2, 3, 4) for q in ("1e-4", "0.6", "0.95")]
+        assert len(argvs) == 432
+        failed = []
+        for argv in argvs:
+            rc, out = run(capsys, *argv)
+            doc = json.loads(out) if rc == 0 else {}
+            if not (doc.get("oracle_abelian") and doc.get("numeric_consistent")):
+                failed.append((" ".join(argv), rc))
+        assert not failed
 
     def test_no_point_evaluated_is_not_consistent(self, capsys, monkeypatch):
         from abelianity import elliptic
@@ -725,6 +766,21 @@ class TestPoissonCommand:
         # float; as a log it is 2 ln q + 2 ln x, so the command answers
         assert_routes_agree(capsys, ["poisson", *argv])
 
+    @pytest.mark.parametrize("argv", [
+        ("--surface=997,1", "--lambda=2", "--q=0.999"),
+        ("--surface=1,1", "--lambda=2", "--q=1e-60"),
+        ("--surface=5,4", "--lambda=-25/3", "--q=0.99"),
+        ("--surface=1,2", "--lambda=1/3", "--q=0.6", "--kk=2,3"),
+        ("--surface=7,1", "--lambda=2", "--q=1e-200"),
+        ("--surface=6,3", "--lambda=8/3", "--q=1e-30"),
+        ("--surface=-1,5", "--lambda=-11/4", "--q=1e-50", "--N=4"),
+    ], ids=" ".join)
+    def test_routes_agree_across_regimes(self, capsys, argv):
+        """On the 4-point grid: a near-1 line, a nome below float range,
+        shifted type-(b) lines, a multi-index pair, and squared and shifted
+        arguments outside float range."""
+        assert_routes_agree(capsys, ["poisson", *argv, "--grid=0.8,1.25,4"])
+
     def test_kk_shift_outside_float_range(self, capsys):
         # q^-2 = 1e400: the one float shift left, named in the reason
         assert main(["poisson", "--surface=1,1", "--lambda=2", "--q=1e-200",
@@ -887,9 +943,13 @@ class TestScan:
         assert capsys.readouterr().err == ""
 
     def test_box6_bytes_unchanged(self, capsys):
-        rc, out = run(capsys, "scan", "--box=6")
-        assert rc == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == SCAN_BOX6_SHA256
+        """Box 6 against its digest here, and box 4 against the digest that
+        perfbench/expected.json records for the benchmark."""
+        recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["scan"]
+        for box, digest in (("4", recorded["4"]), ("6", SCAN_BOX6_SHA256)):
+            rc, out = run(capsys, "scan", f"--box={box}")
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, f"box {box}"
 
     def test_streams_one_write_per_outer_surface(self, capsys, monkeypatch):
         writes = []
@@ -985,6 +1045,7 @@ class TestCanonicalJson:
         ["verify-y", "--surface=5,4", "--lambda=1/3"],
         ["verify-super", "--m=3", "--lambda=2"],
         ["scan", "--box=2"],
+        ["scan", "--box=6"],
     ], ids=" ".join)
     def test_round_trip(self, capsys, argv):
         rc, out = run(capsys, *argv)

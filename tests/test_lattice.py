@@ -385,6 +385,17 @@ class TestSurfacesThroughLine:
         if kind == "on":
             assert expected
 
+    @pytest.mark.parametrize("w", [(4, 6), (3, 7)], ids=["same n", "same m"])
+    def test_walk_rejects_a_surface_sharing_one_coordinate_with_s1(self, w):
+        """s1 is the only surface of the line with m = s1.m, so `_walk_line`
+        checks every other w against s1: a w that shares only n, or only m,
+        with s1 is off the line and raises."""
+        s1, s2 = Surface(3, 6), Surface(2, 5)
+        with pytest.raises(CrossCheckError,
+                           match=rf"S_\{{{w[0]},{w[1]}\}} fails to reproduce the line"):
+            lattice._walk_line(intersect_surfaces(s1, s2), s1, s2,
+                               (w[0] - s2.m, w[1] - s2.n), [1])
+
     @pytest.mark.parametrize("s1,s2", [((3, 6), (2, 5)), ((1, 2), (2, 1)),
                                        ((5, -7), (-3, 4))])
     @pytest.mark.parametrize("wrong", [lambda dm, dn: (dm, dn + 1),
