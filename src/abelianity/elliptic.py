@@ -26,10 +26,9 @@ e^{2 pi i / N} and the constant is exactly 1.
   is reduced exactly.
 * The shift z -> q^{N t} z is the rotation Y -> e^{-2 pi i t} Y.  U and
   every exchange product over exponents t are a `ShiftPlan`: the distinct
-  t mod 1 become rotations once, and each point costs one reduction per
-  point turn (one, unless a half-nome root turns z^2) plus one theta ratio
-  per distinct t.  The full-cycle identity prod_j U(q^j x) = 1 is the
-  telescoping product over Y -> omega^-1 Y.
+  t mod 1 become rotations once, and each point costs one reduction plus
+  one theta ratio per distinct t.  The full-cycle identity
+  prod_j U(q^j x) = 1 is the telescoping product over Y -> omega^-1 Y.
 * Poles sit at Y in rho^Z and zeros at omega^{+-1} Y in rho^Z, i.e. Y near
   1, omega^-1 or omega in the reduced annulus.  A pole at
   z^2 = a^k (1 + delta) sits at |Y - 1| ~ 2 pi |delta| / T, a zero likewise;
@@ -245,8 +244,6 @@ class _DualNome:
             out = math.exp(self.log_const) * v
             if cmath.isfinite(out):
                 return out
-        if v == 0:
-            return v
         try:
             return cmath.exp(self.log_const + cmath.log(v))
         except OverflowError as exc:
@@ -283,51 +280,33 @@ class ShiftPlan:
     Built once per command from integer exponents: each t is k/L for one
     modulus L, and the lists keep every raw factor in product order,
     cancelling ones included.  The distinct residues k mod L become slots,
-    each with the rotation e^{-2 pi i t} of the dual coordinate, so building
-    and evaluating do no rational arithmetic.  Each slot raises PoleError
-    near a zero or a pole, and factors are applied in list order.  A value
-    outside float range raises DomainError.
-
-    `phase` c gives the argument of factor t the extra factor e^{pi i c t}
-    (the non-principal roots of a whole-surface half-nome): a point turn of
-    z^2 by 2 pi (c k mod L)/L, which moves the modulus of Y.  Slots are
-    grouped by point turn, each group's point is reduced once and its slots
-    follow by rotation.  A principal plan (c = 0) is one group, its slots
-    in order of first appearance.
+    in order of first appearance, each with the rotation e^{-2 pi i t} of
+    the dual coordinate, so building and evaluating do no rational
+    arithmetic.  Each point is reduced once and its slots follow by
+    rotation.  Each slot raises PoleError near a zero or a pole, and
+    factors are applied in list order.  A value outside float range raises
+    DomainError.
     """
 
-    def __init__(self, dual: _DualNome, modulus: int, numerator,
-                 denominator, *, phase: int = 0) -> None:
+    def __init__(self, dual: _DualNome, modulus: int, numerator, denominator) -> None:
         self._dual = dual
-        groups: dict[int, dict[int, None]] = {}
+        slots: dict[int, int] = {}
         for k in (*numerator, *denominator):
-            k %= modulus
-            groups.setdefault(phase * k % modulus, {})[k] = None
-        slots = {k: i for i, k in enumerate(k for g in groups.values() for k in g)}
+            slots.setdefault(k % modulus, len(slots))
         self._num = [slots[k % modulus] for k in numerator]
         self._den = [slots[k % modulus] for k in denominator]
-        self._turns = []
-        for turn, ks in groups.items():
-            rot = [cmath.exp(-2j * math.pi * (k / modulus)) for k in ks]
-            self._turns.append((2.0 * math.pi * (turn / modulus), rot,
-                                [r.conjugate() for r in rot]))
+        self._rot = [cmath.exp(-2j * math.pi * (k / modulus)) for k in slots]
+        self._rot_inv = [r.conjugate() for r in self._rot]
 
     def __call__(self, x: complex) -> complex:
         dual = self._dual
-        phi, psi = dual.angles(x)
-        vals = []
+        y, inverted = dual.reduce(*dual.angles(x))
         try:
-            for turn, rot, rot_inv in self._turns:
-                p = phi + turn
-                if p > math.pi:
-                    p -= 2.0 * math.pi
-                y, inverted = dual.reduce(p, psi)
-                exact_real = not turn and (x.real == 0.0 or x.imag == 0.0)  # z^2 real: U real
-                for r in (rot_inv if inverted else rot):
-                    v = dual.ratio(y * r)
-                    vals.append(complex(v.real, 0.0) if exact_real else v)
+            vals = [dual.ratio(y * r) for r in (self._rot_inv if inverted else self._rot)]
         except PoleError:
             raise PoleError(f"factor argument near a zero or pole at x={x}") from None
+        if x.real == 0.0 or x.imag == 0.0:  # z^2 real: U real
+            vals = [complex(v.real, 0.0) for v in vals]
         val = 1.0 + 0.0j
         for i in self._num:
             val *= vals[i]
@@ -339,14 +318,12 @@ class ShiftPlan:
         return val
 
 
-def exchange_plan(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,
-                  *, half_nome: complex | None = None) -> ShiftPlan:
+def exchange_plan(ctx: EllipticContext, s: Surface, lam: LambdaPair | None) -> ShiftPlan:
     """The exchange function of S_{m,n} at line coordinate lam, as a plan.
 
     On m=0 or n=0 surfaces lam is ignored: the factors are U(s^l x) over
-    l = 0..|n|-1 divided by U(s^-l x) over l = 1..|n| for the constrained
-    half-nome s, which solves s^n = q^{-N} (n := m on S_{m,0}).  The real
-    root is the ordinary shift t = -l/n; any other root may be supplied.
+    l = 0..|n|-1 divided by U(s^-l x) over l = 1..|n| for the real
+    half-nome s = q^{-N/n}, the shift t = -l/n (n := m on S_{m,0}).
 
     The slots come from every raw factor of the product form as an integer
     residue mod L (`oracle._exchange_residues`; L = lcm of the reduced
@@ -354,31 +331,15 @@ def exchange_plan(ctx: EllipticContext, s: Surface, lam: LambdaPair | None,
     cancelling factors included: the plan is the numeric witness and never
     reads the oracle's net multiset.
     """
-    modulus, num, den = _exchange_residues(s, lam)
-    if not s.is_whole_surface_abelian() or half_nome is None:
-        return ShiftPlan(_DualNome.for_u(ctx), modulus, num, den)
-    n = s.n if s.m == 0 else s.m
-    # s^n = q^-N in log form, n ln s + N ln q in 2 pi i Z: q^-N overflows
-    # for small q, and a tolerance on s^n would scale with it
-    w = (n * cmath.log(half_nome) + ctx.N * math.log(ctx.q)
-         if half_nome != 0 and cmath.isfinite(half_nome) else math.inf)
-    if abs(complex(w.real, math.remainder(w.imag, 2 * math.pi))) > 1e-9:
-        raise DomainError(f"half-nome {half_nome} does not satisfy s^{n} = q^-N")
-    k = abs(n)
-    j = round(cmath.phase(half_nome) * k / (2 * math.pi)) % k
-    # s^l = q^{N t} e^{2 pi i j l/|n|} with t = -l/n: z^2 turns by -2 j sgn(n) t
-    return ShiftPlan(_DualNome.for_u(ctx), modulus, num, den,
-                     phase=-2 * j * (1 if n > 0 else -1))
+    return ShiftPlan(_DualNome.for_u(ctx), *_exchange_residues(s, lam))
 
 
-def yfunc(ctx: EllipticContext, s: Surface, lam: LambdaPair | None, x: complex,
-          *, half_nome: complex | None = None) -> complex:
+def yfunc(ctx: EllipticContext, s: Surface, lam: LambdaPair | None, x: complex) -> complex:
     """Exchange function of S_{m,n} at line coordinate lam, evaluated at x.
 
-    For m=0 or n=0 surfaces lam is ignored (optionally at an explicit
-    complex half-nome root); see `exchange_plan`.
+    For m=0 or n=0 surfaces lam is ignored; see `exchange_plan`.
     """
-    return exchange_plan(ctx, s, lam, half_nome=half_nome)(x)
+    return exchange_plan(ctx, s, lam)(x)
 
 
 def centrality_plan(ctx: EllipticContext, m: int, lam: int) -> ShiftPlan:

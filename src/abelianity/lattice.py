@@ -411,10 +411,8 @@ def _classify_reduced(s: Surface, reduced: tuple | None) -> tuple[Verdict, tuple
     if _condition2_reduced(m, n, a, d, b, dp) is None:
         return _NOT_ABELIAN
     g, gamma = math.gcd(m, n), a % d
-    gamma_prime, rem = divmod(1 - gamma * ((m + n) // d), g)
-    if rem:
-        raise CrossCheckError(f"gamma' is not integral on S_{{{m},{n}}} at {a}/{d}")
-    return _CONDITION2, (d, gamma, gamma_prime, g)
+    # exact: m a + n b = d (lambda + lambda* = 1) and a = b mod d give g | 1 - gamma (m+n)/d
+    return _CONDITION2, (d, gamma, (1 - gamma * ((m + n) // d)) // g, g)
 
 
 def classify_lambda(s: Surface, lam: LambdaPair | None) -> AbelianityVerdict:
@@ -554,9 +552,7 @@ def super_abelianity_check(m: int, lam: int) -> SuperAbelianityVerdict:
         # no Bezout pair exists; reported, not raised
         return SuperAbelianityVerdict(failed_condition=2, m_reduced_from=reduced_from)
     beta0_prime = (-pow(lam, -1, m)) % m  # in 1..m-1, or 0 when m = 1
-    beta0 = (1 + beta0_prime * lam) // m
-    if beta0 * m - beta0_prime * lam != 1:
-        raise CrossCheckError(f"no Bezout pair beta0, beta0' for m={m}, lambda={lam}")
+    beta0 = (1 + beta0_prime * lam) // m  # exact: beta0' lambda = -1 mod m
     if math.gcd(m, beta0_prime + 1) != 1:
         return SuperAbelianityVerdict(failed_condition=3, beta0=beta0,
                                       beta0_prime=beta0_prime, m_reduced_from=reduced_from)

@@ -40,7 +40,7 @@ from abelianity import (
     yfunc,
 )
 from reference_family import reference_lambda_pair
-from reference_u import ufunc
+from reference_u import half_nome_roots, ufunc, whole_surface_product
 
 BOX = 6
 N = 3
@@ -155,14 +155,14 @@ def test_criterion_3_numeric_soundness_and_completeness(sweep):
 
 
 def test_criterion_4_whole_surface_and_witnesses():
-    from test_elliptic import admissible_half_nome_roots
+    # S_{0,3}'s exchange function as its defining product at each root s
+    # of s^3 = q^-N
     ctx = EllipticContext(N=N, q=0.6)
-    roots = admissible_half_nome_roots(ctx, 3)
+    roots = half_nome_roots(ctx, 3)
     combos = [(roots[0], 0.8 + 0.1j), (roots[1], 0.8 + 0.1j),
               (roots[2], 0.8 + 0.1j), (roots[0], 1.3 - 0.4j),
               (roots[2], 0.75 + 0.6j)]
-    worst = max(abs(yfunc(ctx, Surface(0, 3), None, x, half_nome=r) - 1.0)
-                for r, x in combos)
+    worst = max(abs(whole_surface_product(ctx, 3, r, x) - 1.0) for r, x in combos)
 
     tags = []
     for k in (2, 3):

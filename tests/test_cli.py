@@ -1121,7 +1121,14 @@ class TestExitCodes:
         (["verify-y", "--surface", "1,2", "--lambda", "1/3",
           "--grid=0.8,1.25,0"],
          "argument --grid: grid count must be at least 1, got 0"),
-    ], ids=["frac", "surface", "grid"])
+        (["verify-y", "--surface", "1,2", "--lambda", "1/3", "--grid=0.8,1.25"],
+         "argument --grid: grid must be 'r1,r2,count', got '0.8,1.25'"),
+        (["verify-y", "--surface", "1,2", "--lambda", "1/3", "--grid=a,b,c"],
+         "argument --grid: could not convert string to float: 'a'"),
+        (["verify-y", "--surface=1,2"],
+         "error: --lambda is required unless m=0 or n=0"),
+    ], ids=["frac", "surface", "grid", "grid-two-parts", "grid-not-numbers",
+            "lambda-required"])
     def test_parser_reason_on_stderr(self, capsys, argv, reason):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -1181,6 +1188,12 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: --N={N}" in captured.err
+
+    def test_rank_not_an_integer(self, capsys):
+        assert main(["classify", "--surface=1,2", "--lambda=1/3", "--N=x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --N: invalid int value: 'x'" in captured.err
 
     def test_rank_two_accepted(self, capsys):
         rc, out = run(capsys, "classify", "--surface", "1,2", "--lambda", "1/3",

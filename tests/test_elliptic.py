@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelianity import (
+    DegenerateParametrizationError,
     DomainError,
     EllipticContext,
     LambdaPair,
@@ -29,9 +30,8 @@ from abelianity import (
     verification_grid,
     yfunc,
 )
-from abelianity.elliptic import ShiftPlan, _DualNome, u_zero_pole_adjacent
-from abelianity.oracle import _exchange_residues
-from reference_u import ufunc
+from abelianity.elliptic import u_zero_pole_adjacent
+from reference_u import half_nome_roots, ufunc, whole_surface_product
 
 CTX = EllipticContext(N=3, q=0.6)
 
@@ -55,16 +55,6 @@ def u_reference(ctx, a, z):
     return ctx.q ** (2.0 / ctx.N - 2.0) * num / den
 
 
-def admissible_half_nome_roots(ctx, n):
-    """The |n| complex solutions of s^n = q^{-N}, the free half-nome on
-    S_{0,n} (reference helper)."""
-    if n == 0:
-        raise DomainError("n must be nonzero")
-    base = ctx.q ** (-ctx.N / n)
-    k = abs(n)
-    return [base * cmath.exp(2j * cmath.pi * j / k) for j in range(k)]
-
-
 def calF(ctx, s_exponent, a, x):
     """Shift product F_a(x) with half-nome s = q^{N * s_exponent} (reference):
 
@@ -85,13 +75,13 @@ def calF(ctx, s_exponent, a, x):
     return val
 
 
-def exchange_factor(ctx, s, lam, k, kp, x, *, half_nome=None):
+def exchange_factor(ctx, s, lam, k, kp, x):
     """Exchange factor between rank-k and rank-k' generators (reference):
     prod over i, j of Y(q^{i-j} x), with i and j running over the
     half-integer ranges (1-k)/2, ..., (k-1)/2 and (1-k')/2, ..., (k'-1)/2."""
     if not (1 <= k <= ctx.N and 1 <= kp <= ctx.N):
         raise DomainError(f"k, k' must lie in 1..N={ctx.N}")
-    plan = exchange_plan(ctx, s, lam, half_nome=half_nome)
+    plan = exchange_plan(ctx, s, lam)
     val = 1.0 + 0.0j
     for i in range(k):
         for j in range(kp):
@@ -366,6 +356,20 @@ class TestFloatRange:
         with pytest.raises(TypeError):
             theta(0.3, 0.5, eps=1e-16)
 
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: EllipticContext(1, 0.5), DomainError, "N must be >= 2, got 1"),
+        (lambda: EllipticContext(3, 1.0), DomainError, r"q must lie in \(0,1\), got 1.0"),
+        (lambda: centrality_plan(CTX, 0, 1), DomainError, "m must be positive"),
+        # |x| overflows a float although x itself is finite
+        (lambda: yfunc(CTX, Surface(1, 2), LambdaPair(F(1, 3)), complex(1.5e308, 1.5e308)),
+         DomainError, "U argument must be finite and nonzero"),
+        (lambda: exchange_plan(CTX, Surface(1, 2), None), DegenerateParametrizationError,
+         "requires a lambda coordinate"),
+    ], ids=["rank", "nome", "centrality-m", "abs-overflow", "no-lambda"])
+    def test_input_errors(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
 
 class TestCalF:
     def test_empty_product(self):
@@ -386,34 +390,37 @@ class TestY:
         assert abs(y - 1.0) < 1e-10
 
     def test_whole_surface_all_roots(self):
-        for root in admissible_half_nome_roots(CTX, 3):
-            y = yfunc(CTX, Surface(0, 3), None, 0.8 + 0.1j, half_nome=root)
+        for root in half_nome_roots(CTX, 3):
+            y = whole_surface_product(CTX, 3, root, 0.8 + 0.1j)
             assert abs(y - 1.0) < 1e-10
 
     def test_whole_surfaces_on_every_half_nome_root(self):
-        """Every root s of s^k = q^-N turns z^2 in its own way; at each of
-        them the exchange function of S_{0,k} and S_{k,0}, 0 < |k| <= 12, is
-        1 to 1e-9 on the default grid at N = 2, 3, 4 and q = 1e-4, 0.6, 0.95
-        (2,808 plans, each with at least one point off the poles)."""
+        """At every root s of s^k = q^-N the exchange function of S_{0,k},
+        0 < |k| <= 12, and its reciprocal on S_{k,0} are 1 to 1e-9 on the
+        default grid at N = 2, 3, 4 and q = 1e-4, 0.6, 0.95: 2,808 (surface,
+        root, N, q) cases, each with at least one point off the poles.  Each
+        value is the defining product over s^l x, one U per factor; the
+        package's plans take only the real root."""
         grid = verification_grid()
-        plans, failed = 0, []
+        cases, failed = 0, []
         for k in [v for v in range(-12, 13) if v]:
             for N in (2, 3, 4):
                 for q in (1e-4, 0.6, 0.95):
                     ctx = EllipticContext(N=N, q=q)
-                    for j, root in enumerate(admissible_half_nome_roots(ctx, k)):
-                        for s in (Surface(0, k), Surface(k, 0)):
-                            plan = exchange_plan(ctx, s, None, half_nome=root)
-                            devs = []
-                            for x in grid:
-                                try:
-                                    devs.append(abs(plan(x) - 1.0))
-                                except PoleError:
-                                    pass
-                            plans += 1
+                    for j, root in enumerate(half_nome_roots(ctx, k)):
+                        values = []
+                        for x in grid:
+                            try:
+                                values.append(whole_surface_product(ctx, k, root, x))
+                            except PoleError:
+                                pass
+                        # S_{0,k} is the product, S_{k,0} its reciprocal
+                        for s, devs in ((Surface(0, k), [abs(v - 1.0) for v in values]),
+                                        (Surface(k, 0), [abs(1.0 / v - 1.0) for v in values])):
+                            cases += 1
                             if not devs or max(devs) >= 1e-9:
                                 failed.append((s, N, q, j, devs))
-        assert plans == 2808
+        assert cases == 2808
         assert not failed
 
     def test_whole_surface_negative_n(self):
@@ -424,33 +431,19 @@ class TestY:
 
     @pytest.mark.parametrize("s", [Surface(0, 3), Surface(0, -4), Surface(5, 0)])
     def test_whole_surface_plan_matches_direct_product(self, s):
-        """The shift plan against the defining product over s^l x, at every
-        root s of s^n = q^-N (non-principal roots move |Y|)."""
+        """The shift plan against the defining product over s^l x, with the
+        four-theta U, at the real root s of s^n = q^-N."""
         n = s.n if s.m == 0 else s.m
-        x = 0.9 + 0.35j
-        for root in admissible_half_nome_roots(CTX, n):
-            direct = 1.0 + 0.0j
-            for ell in range(abs(n)):
-                direct *= u_reference(CTX, CTX.q ** (2 * CTX.N), root ** ell * x)
-            for ell in range(1, abs(n) + 1):
-                direct /= u_reference(CTX, CTX.q ** (2 * CTX.N), root ** (-ell) * x)
-            if s.n == 0:
-                direct = 1 / direct  # the exponent lists of S_{m,0} are inverted
-            got = exchange_plan(CTX, s, None, half_nome=root)(x)
-            assert abs(got - direct) <= 1e-12 * abs(direct)
-
-    @pytest.mark.parametrize("n", [3, -4, 5])
-    def test_half_nome_turns_each_factor(self, n):
-        """Each half of a whole-surface plan on its own, against its defining
-        product over s^l x at every root s: the halves are not 1, so a wrong
-        point turn cannot cancel out."""
-        modulus, fwd, back = _exchange_residues(Surface(0, n), None)
-        dual, nome, x = _DualNome.for_u(CTX), CTX.q ** (2 * CTX.N), 0.9 + 0.35j
-        for j, root in enumerate(admissible_half_nome_roots(CTX, n)):
-            for ks, ells in ((fwd, range(abs(n))), (back, range(-1, -abs(n) - 1, -1))):
-                got = ShiftPlan(dual, modulus, ks, [], phase=-2 * j * (1 if n > 0 else -1))(x)
-                direct = math.prod(u_reference(CTX, nome, root ** ell * x) for ell in ells)
-                assert abs(got - direct) <= 1e-12 * abs(direct)
+        x, root = 0.9 + 0.35j, half_nome_roots(CTX, n)[0]
+        direct = 1.0 + 0.0j
+        for ell in range(abs(n)):
+            direct *= u_reference(CTX, CTX.q ** (2 * CTX.N), root ** ell * x)
+        for ell in range(1, abs(n) + 1):
+            direct /= u_reference(CTX, CTX.q ** (2 * CTX.N), root ** (-ell) * x)
+        if s.n == 0:
+            direct = 1 / direct  # the exponent lists of S_{m,0} are inverted
+        got = exchange_plan(CTX, s, None)(x)
+        assert abs(got - direct) <= 1e-12 * abs(direct)
 
     def test_plan_matches_direct_product(self):
         s = Surface(2, 5)
@@ -468,32 +461,20 @@ class TestY:
                 direct /= u_reference(CTX, CTX.q ** (2 * CTX.N), q ** (N * float(t)) * x)
             assert abs(plan(x) - direct) <= 1e-11 * abs(direct)
 
-    def test_bad_half_nome_rejected(self):
-        with pytest.raises(DomainError):
-            yfunc(CTX, Surface(0, 3), None, 0.8, half_nome=1.23)
-
     @pytest.mark.parametrize("q", [0.6, 1e-2, 1e-4])
     @pytest.mark.parametrize("s", [Surface(0, 3), Surface(0, -4), Surface(5, 0)])
     def test_every_half_nome_root_accepted_at_small_q(self, s, q):
-        # s^n = q^-N is checked in log form: an absolute tolerance on s^n
-        # refused the non-real roots at q = 0.01 and every root at 1e-4
+        """The defining product is 1 at every root of s^n = q^-N down to
+        q = 1e-4, where |s|^|n| = 1e12, and not 1 a quarter step off a root
+        (half a step off, s^2 is a root of (s^2)^n = q^-2N, and U is even)."""
         ctx = EllipticContext(N=3, q=q)
         n = s.n if s.m == 0 else s.m
-        roots = admissible_half_nome_roots(ctx, n)
+        roots = half_nome_roots(ctx, n)
         for root in roots:
-            y = exchange_plan(ctx, s, None, half_nome=root)(0.9 + 0.35j)
+            y = whole_surface_product(ctx, n, root, 0.9 + 0.35j)
             assert abs(y - 1.0) < 1e-12
-        off = roots[0] * cmath.exp(1j * math.pi / abs(n))  # half a step off
-        with pytest.raises(DomainError):
-            exchange_plan(ctx, s, None, half_nome=off)
-
-    @pytest.mark.parametrize("half_nome", [0, 1e300, complex(math.inf, 0)])
-    def test_half_nome_at_tiny_q_is_a_domain_error(self, half_nome):
-        # q^-N = 1e900 overflows a float, so the root check must not form
-        # it; 1e300 is the real root, whose U values lie outside float range
-        ctx = EllipticContext(N=3, q=1e-300)
-        with pytest.raises(DomainError):
-            yfunc(ctx, Surface(0, 3), None, 0.8, half_nome=half_nome)
+        off = roots[0] * cmath.exp(0.5j * math.pi / abs(n))
+        assert abs(whole_surface_product(ctx, n, off, 0.9 + 0.35j) - 1.0) > 1.0
 
     def test_perturbed_line_detected(self):
         lam = LambdaPair.from_lambda(F(-2, 3) + F(1, 100))

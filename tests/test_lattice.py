@@ -902,6 +902,10 @@ class TestSuperAbelianity:
         v = super_abelianity_check(9, 6)
         assert not v.super_abelian and v.failed_condition == 2
 
+    def test_zero_m_rejected(self):
+        with pytest.raises(ValueError, match="m must be nonzero"):
+            super_abelianity_check(0, 1)
+
     def test_negative_m_reduction(self):
         v = super_abelianity_check(-9, 4)
         assert v.m_reduced_from == -9 and v.failed_condition == 3
@@ -982,6 +986,11 @@ class TestRealizeLine:
         with pytest.raises(ConstructionFailedError):
             realize_line_as_intersections(Surface(2, 3),
                                           LambdaPair.from_lambda(0), 1)
+
+    def test_whole_surface_rejected(self):
+        with pytest.raises(DegenerateParametrizationError, match="no lambda coordinate"):
+            realize_line_as_intersections(Surface(0, 3),
+                                          LambdaPair.from_lambda(F(1, 3)), 1)
 
     @staticmethod
     def _brute_solutions(s, lam, box=8):

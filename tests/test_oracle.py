@@ -94,6 +94,10 @@ class TestExchangeExponents:
                 for pair in pairs:
                     assert exchange_exponents(s, pair) == ExponentMultiset(1, ())
 
+    def test_lambda_required_off_whole_surfaces(self):
+        with pytest.raises(DegenerateParametrizationError, match="requires a lambda"):
+            exchange_exponents(Surface(1, 2), None)
+
     def test_residual_multiset(self):
         mset = exchange_exponents(Surface(2, 5), LambdaPair.from_lambda(F(-2, 3)))
         assert dict(mset.entries) == {F(1, 3): -1, F(2, 3): 1}
@@ -322,48 +326,22 @@ def _bits(values):
             for v in values]
 
 
-def _reference_plan(numerator, denominator, phase=0):
-    """(num slots, den slots, turns) of a shift plan built from Fraction
-    exponents (reference for the residue-built `ShiftPlan`): the distinct
-    t mod 1 in order of first appearance, grouped in order of first
-    appearance by their point turn 2 pi (phase t mod 1), and numbered group
-    after group.  Each turn is (its angle, the rotations e^{-2 pi i t} of
-    its slots, their conjugates)."""
-    groups = {}
-    for t in dict.fromkeys(t % 1 for t in (*numerator, *denominator)):
-        groups.setdefault(phase * t % 1, []).append(t)
-    order = [t for ts in groups.values() for t in ts]
-    num = [order.index(t % 1) for t in numerator]
-    den = [order.index(t % 1) for t in denominator]
-    turns = []
-    for turn, ts in groups.items():
-        rot = [cmath.exp(-2j * math.pi * float(t)) for t in ts]
-        turns.append((2.0 * math.pi * float(turn), rot, [r.conjugate() for r in rot]))
-    return num, den, turns
-
-
-def _whole_surface_phase(k, root):
-    """The phase of a half-nome root of s^k = q^-N (reference)."""
-    j = round(cmath.phase(root) * abs(k) / (2 * math.pi)) % abs(k)
-    return -2 * j * (1 if k > 0 else -1)
-
-
-def _assert_plan_matches(plan, numerator, denominator, phase=0):
-    num, den, turns = _reference_plan(numerator, denominator, phase)
-    assert plan._num == num and plan._den == den
-    assert [(a.hex(), _bits(r), _bits(ri)) for a, r, ri in plan._turns] == \
-        [(a.hex(), _bits(r), _bits(ri)) for a, r, ri in turns]
-    if not phase:
-        # principal: one turn of 0, slots numbered in order of first appearance
-        first = list(dict.fromkeys(t % 1 for t in (*numerator, *denominator)))
-        assert len(turns) == 1 and turns[0][0] == 0.0
-        assert num == [first.index(t % 1) for t in numerator]
-        assert den == [first.index(t % 1) for t in denominator]
+def _assert_plan_matches(plan, numerator, denominator):
+    """A shift plan against its Fraction exponents (reference for the
+    residue-built `ShiftPlan`): the distinct t mod 1 are its slots in order
+    of first appearance, each with the rotation e^{-2 pi i t} and its
+    conjugate, bit for bit."""
+    order = list(dict.fromkeys(t % 1 for t in (*numerator, *denominator)))
+    assert plan._num == [order.index(t % 1) for t in numerator]
+    assert plan._den == [order.index(t % 1) for t in denominator]
+    rot = [cmath.exp(-2j * math.pi * float(t)) for t in order]
+    assert _bits(plan._rot) == _bits(rot)
+    assert _bits(plan._rot_inv) == _bits([r.conjugate() for r in rot])
 
 
 class TestResiduePlan:
     """Shift plans built from integer residues against the Fraction lists:
-    the same slots in the same order and bit-identical turns and rotations."""
+    the same slots in the same order and bit-identical rotations."""
 
     @given(st.integers(-12, 12), st.integers(-12, 12),
            st.integers(-60, 60), st.integers(1, 30))
@@ -390,20 +368,13 @@ class TestResiduePlan:
 
     @pytest.mark.parametrize("N, q", [(2, 0.3), (3, 0.6), (5, 0.95)])
     def test_whole_surface_plan_slots_at_every_root(self, N, q):
+        """The plan of every S_{0,k} and S_{k,0}, 0 < |k| <= 12, which takes
+        the real root of s^k = q^-N; every root is checked through the
+        defining product in tests/test_elliptic.py."""
         ctx = EllipticContext(N=N, q=q)
-        for k in range(-12, 13):
-            if k == 0:
-                continue
-            base = q ** (-N / k)
-            roots = [base * cmath.exp(2j * cmath.pi * j / abs(k))
-                     for j in range(abs(k))]
+        for k in [v for v in range(-12, 13) if v]:
             for s in (Surface(0, k), Surface(k, 0)):
-                lists = _exchange_lists(s, None)
-                _assert_plan_matches(exchange_plan(ctx, s, None), *lists)
-                for root in roots:
-                    _assert_plan_matches(
-                        exchange_plan(ctx, s, None, half_nome=root), *lists,
-                        phase=_whole_surface_phase(k, root))
+                _assert_plan_matches(exchange_plan(ctx, s, None), *_exchange_lists(s, None))
 
     @given(st.integers(1, 60), st.integers(-200, 200))
     @settings(max_examples=200, deadline=None)
